@@ -1,8 +1,7 @@
 """Deterministic federated-learning simulator with monitored, robust aggregation."""
 
 from .aggregators import (
-    AGGREGATOR_NAMES,
-    AGGREGATOR_PARAMS,
+    AGGREGATORS,
     AggregationDecision,
     PidState,
     aggregate,

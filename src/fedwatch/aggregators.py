@@ -11,32 +11,12 @@ a deterministic cost ledger that is comparable across strategies.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import ClientId, ClientUpdate, ModelParams
-
-AGGREGATOR_NAMES = (
-    "fedavg",
-    "trimmed_mean",
-    "krum",
-    "multi_krum",
-    "bulyan",
-    "geomedian",
-    "sigma_pid",
-)
-
-# Parameter names and defaults per aggregator, in stable display order.
-AGGREGATOR_PARAMS: dict[str, dict[str, object]] = {
-    "fedavg": {},
-    "trimmed_mean": {"trim_beta": 1},
-    "krum": {"byzantine_f": 1},
-    "multi_krum": {"byzantine_f": 1, "multi_krum_m": 1},
-    "bulyan": {"byzantine_f": 1},
-    "geomedian": {"weiszfeld_tol": 1e-10, "weiszfeld_max_iters": 500},
-    "sigma_pid": {"sigma_k": 2.5, "kp": 1.0, "ki": 0.0, "kd": 0.0},
-}
 
 MAD_SCALE = 1.4826  # normal-consistency factor for the median absolute deviation
 MAD_FLOOR = 1e-9
@@ -90,6 +70,19 @@ def _stack(updates: list[ClientUpdate]) -> tuple[list[int], np.ndarray, np.ndarr
     return ids, mat, weights
 
 
+def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Each row's L2 distance to the coordinate-wise median of the rows.
+
+    Returns (distances, median distance, scale), where scale is the MAD of
+    the distances times 1.4826, floored at 1e-9.
+    """
+    reference = np.median(mat, axis=0)
+    dists = np.linalg.norm(mat - reference, axis=1)
+    med = float(np.median(dists))
+    mad = float(np.median(np.abs(dists - med)))
+    return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
+
+
 def _weighted_mean(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights[:, None] * mat).sum(axis=0) / weights.sum()
 
@@ -124,10 +117,7 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
     ups = _canonical(updates)
     n = len(ups)
     beta = int(trim_beta)
-    if beta < 0:
-        raise ValueError(f"trim_beta must be >= 0, got {beta}")
-    if n <= 2 * beta:
-        raise ValueError(f"trimmed_mean needs n > 2*beta, got n={n}, beta={beta}")
+    _check("trimmed_mean", n, {"trim_beta": beta})
     ids, mat, _ = _stack(ups)
     order = np.argsort(mat, axis=0, kind="stable")
     sorted_mat = np.take_along_axis(mat, order, axis=0)
@@ -192,10 +182,7 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     ups = _canonical(updates)
     n = len(ups)
     f = int(byzantine_f)
-    if f < 0:
-        raise ValueError(f"byzantine_f must be >= 0, got {f}")
-    if n < 2 * f + 3:
-        raise ValueError(f"krum needs n >= 2f+3, got n={n}, f={f}")
+    _check("krum", n, {"byzantine_f": f})
     ids, mat, _ = _stack(ups)
     scores = _scores_for(mat, f)
     best = min(range(n), key=lambda i: (scores[i], ids[i]))
@@ -208,7 +195,7 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     )
 
 
-def multi_krum(updates, byzantine_f: int, m: int) -> AggregationDecision:
+def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecision:
     """Keep the m lowest-Krum-score clients and average them by sample count.
 
     Ties are broken by lowest id. Requires n >= 2f+3 and 1 <= m <= n-f.
@@ -217,13 +204,8 @@ def multi_krum(updates, byzantine_f: int, m: int) -> AggregationDecision:
     ups = _canonical(updates)
     n = len(ups)
     f = int(byzantine_f)
-    m = int(m)
-    if f < 0:
-        raise ValueError(f"byzantine_f must be >= 0, got {f}")
-    if n < 2 * f + 3:
-        raise ValueError(f"multi_krum needs n >= 2f+3, got n={n}, f={f}")
-    if not 1 <= m <= n - f:
-        raise ValueError(f"multi_krum needs 1 <= m <= n-f, got m={m}, n={n}, f={f}")
+    m = int(multi_krum_m)
+    _check("multi_krum", n, {"byzantine_f": f, "multi_krum_m": m})
     ids, mat, weights = _stack(ups)
     scores = _scores_for(mat, f)
     ranked = sorted(range(n), key=lambda i: (scores[i], ids[i]))
@@ -251,10 +233,7 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     ups = _canonical(updates)
     n = len(ups)
     f = int(byzantine_f)
-    if f < 0:
-        raise ValueError(f"byzantine_f must be >= 0, got {f}")
-    if n < 4 * f + 3:
-        raise ValueError(f"bulyan needs n >= 4f+3, got n={n}, f={f}")
+    _check("bulyan", n, {"byzantine_f": f})
     ids, mat, _ = _stack(ups)
     sq = _pairwise_sq_dists(mat)
 
@@ -310,13 +289,11 @@ def geomedian(
     info, not an error). Nobody is excluded.
     overhead_ops = n + 2n * iterations.
     """
-    if not weiszfeld_tol > 0:
-        raise ValueError(f"weiszfeld_tol must be positive, got {weiszfeld_tol}")
-    if weiszfeld_max_iters < 1:
-        raise ValueError(f"weiszfeld_max_iters must be >= 1, got {weiszfeld_max_iters}")
     ups = _canonical(updates)
-    ids, mat, weights = _stack(ups)
     n = len(ups)
+    params = {"weiszfeld_tol": weiszfeld_tol, "weiszfeld_max_iters": weiszfeld_max_iters}
+    _check("geomedian", n, params)
+    ids, mat, weights = _stack(ups)
     y = _weighted_mean(mat, weights)
     converged = False
     iters = 0
@@ -356,18 +333,11 @@ def sigma_pid(
     and whose derivative is zero on the first round.
     Requires n >= 3. overhead_ops = 2n + |included| + 3.
     """
-    if not sigma_k > 0:
-        raise ValueError(f"sigma_k must be positive, got {sigma_k}")
     ups = _canonical(updates)
     n = len(ups)
-    if n < 3:
-        raise ValueError(f"sigma_pid needs n >= 3, got {n}")
+    _check("sigma_pid", n, {"sigma_k": sigma_k, "kp": kp, "ki": ki, "kd": kd})
     ids, mat, weights = _stack(ups)
-    reference = np.median(mat, axis=0)
-    dists = np.linalg.norm(mat - reference, axis=1)
-    med = float(np.median(dists))
-    mad = float(np.median(np.abs(dists - med)))
-    scale = max(MAD_SCALE * mad, MAD_FLOOR)
+    dists, med, scale = robust_distances(mat)
     threshold = med + sigma_k * scale
     keep_mask = dists <= threshold
     if not keep_mask.any():
@@ -398,46 +368,91 @@ def sigma_pid(
     return decision, PidState(prev_error=error, integral=integral)
 
 
-def min_updates(name: str, params: dict) -> int:
-    """Smallest submission count the named aggregator can run on."""
-    f = int(params.get("byzantine_f", 0))
-    if name == "krum" or name == "multi_krum":
-        return 2 * f + 3
-    if name == "bulyan":
-        return 4 * f + 3
-    if name == "trimmed_mean":
-        return 2 * int(params.get("trim_beta", 0)) + 1
-    if name == "sigma_pid":
-        return 3
-    return 1
+
+
+# --- registry ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One aggregator parameter; its type is the type of its default."""
+
+    name: str
+    default: int | float
+    minimum: int | float | None = None
+    exclusive_min: float | None = None
+
+
+@dataclass(frozen=True)
+class AggregatorEntry:
+    """Everything the program knows about one aggregator.
+
+    Config validation, the engine, the aggregator function itself and the
+    CLI all read these fields. Each client minimum is a (param, rule) pair:
+    the aggregator needs at least rule(params) updates, and a shortfall is
+    blamed on that param, or on the client count itself when it is None.
+    """
+
+    name: str
+    fn: Callable
+    params: tuple[Param, ...] = ()
+    minimums: tuple[tuple[str | None, Callable[[dict], int]], ...] = ()
+    threads_state: bool = False  # fn takes and returns a PidState
+
+    def min_clients(self, params: dict) -> int:
+        """Smallest number of updates this aggregator can run on."""
+        return max([1] + [rule(params) for _, rule in self.minimums])
+
+    def problem(self, n: int, params: dict) -> tuple[str | None, str] | None:
+        """(blamed param, message) for the first bound or client minimum that
+        params and n break, or None when the aggregator can run."""
+        for p in self.params:
+            v = params[p.name]
+            if p.minimum is not None and not v >= p.minimum:
+                return p.name, f"must be >= {p.minimum}, got {v}"
+            if p.exclusive_min is not None and not v > p.exclusive_min:
+                return p.name, f"must be > {p.exclusive_min}, got {v}"
+        for blamed, rule in self.minimums:
+            if n < rule(params):
+                return blamed, f"{self.name} needs at least {rule(params)} clients, got {n}"
+        return None
+
+
+_F = Param("byzantine_f", 1, minimum=0)
+_KRUM_MIN = ("byzantine_f", lambda p: 2 * p["byzantine_f"] + 3)
+
+# The registry, in display order.
+AGGREGATORS: dict[str, AggregatorEntry] = {e.name: e for e in (
+    AggregatorEntry("fedavg", fedavg),
+    AggregatorEntry("trimmed_mean", trimmed_mean, (Param("trim_beta", 1, minimum=0),),
+                    (("trim_beta", lambda p: 2 * p["trim_beta"] + 1),)),
+    AggregatorEntry("krum", krum, (_F,), (_KRUM_MIN,)),
+    AggregatorEntry("multi_krum", multi_krum, (_F, Param("multi_krum_m", 1, minimum=1)),
+                    (_KRUM_MIN, ("multi_krum_m", lambda p: p["multi_krum_m"] + p["byzantine_f"]))),
+    AggregatorEntry("bulyan", bulyan, (_F,), (("byzantine_f", lambda p: 4 * p["byzantine_f"] + 3),)),
+    AggregatorEntry("geomedian", geomedian, (Param("weiszfeld_tol", 1e-10, exclusive_min=0.0),
+                                             Param("weiszfeld_max_iters", 500, minimum=1))),
+    AggregatorEntry("sigma_pid", sigma_pid, (Param("sigma_k", 2.5, exclusive_min=0.0),
+                                             Param("kp", 1.0), Param("ki", 0.0), Param("kd", 0.0)),
+                    ((None, lambda p: 3),), threads_state=True),
+)}
+
+
+def _check(name: str, n: int, params: dict) -> None:
+    """Raise ValueError unless params and n meet the named aggregator's entry."""
+    problem = AGGREGATORS[name].problem(n, params)
+    if problem is not None:
+        blamed, message = problem
+        raise ValueError(f"{name}.{blamed}: {message}" if blamed else message)
 
 
 def aggregate(
     name: str, params: dict, updates, state: PidState | None = None
 ) -> tuple[AggregationDecision, PidState | None]:
     """Dispatch to the named aggregator, threading controller state through."""
-    if name == "fedavg":
-        return fedavg(updates), state
-    if name == "trimmed_mean":
-        return trimmed_mean(updates, params["trim_beta"]), state
-    if name == "krum":
-        return krum(updates, params["byzantine_f"]), state
-    if name == "multi_krum":
-        return multi_krum(updates, params["byzantine_f"], params["multi_krum_m"]), state
-    if name == "bulyan":
-        return bulyan(updates, params["byzantine_f"]), state
-    if name == "geomedian":
-        return (
-            geomedian(updates, params["weiszfeld_tol"], params["weiszfeld_max_iters"]),
-            state,
-        )
-    if name == "sigma_pid":
-        return sigma_pid(
-            updates,
-            state,
-            sigma_k=params["sigma_k"],
-            kp=params["kp"],
-            ki=params["ki"],
-            kd=params["kd"],
-        )
-    raise ValueError(f"unknown aggregator {name!r}")
+    entry = AGGREGATORS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown aggregator {name!r}")
+    if entry.threads_state:
+        return entry.fn(updates, state, **params)
+    return entry.fn(updates, **params), state

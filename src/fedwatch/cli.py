@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from .aggregators import AGGREGATOR_NAMES, AGGREGATOR_PARAMS
+from .aggregators import AGGREGATORS
 from .config import ConfigError, build_config
 from .engine import EngineError, run, sweep, write_run_outputs
 
@@ -101,12 +101,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_list_aggregators(_args) -> int:
-    for name in AGGREGATOR_NAMES:
-        params = AGGREGATOR_PARAMS[name]
-        rendered = ",".join(
-            f"{k}={repr(v) if isinstance(v, float) else v}" for k, v in params.items()
-        )
-        print(f"{name}\t{rendered}".rstrip())
+    for entry in AGGREGATORS.values():
+        rendered = ",".join(f"{p.name}={p.default!r}" for p in entry.params)
+        print(f"{entry.name}\t{rendered}".rstrip())
     return EXIT_OK
 
 

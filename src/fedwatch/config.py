@@ -9,9 +9,9 @@ fully explicit input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .aggregators import AGGREGATOR_NAMES, AGGREGATOR_PARAMS
+from .aggregators import AGGREGATORS
 from .attacks import ATTACK_KINDS, AttackSpec
 from .datagen import HeterogeneitySpec
 from .trainer import TrainConfig
@@ -74,46 +74,13 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         """Effective config as a plain dict; valid input for build_config."""
-        d = {
-            "description": self.description,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "num_clients": self.num_clients,
-            "malicious": {
-                "kind": self.malicious.kind,
-                "fraction": self.malicious.fraction,
-                "magnitude": self.malicious.magnitude,
-                "targets": list(self.malicious.targets),
-            },
-            "dataset": {"type": self.dataset.type},
-            "heterogeneity": {
-                "mode": self.heterogeneity.mode,
-                "dirichlet_alpha": self.heterogeneity.dirichlet_alpha,
-            },
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "local_epochs": self.train.local_epochs,
-                "batch_size": self.train.batch_size,
-                "l2_reg": self.train.l2_reg,
-            },
-            "aggregator": {"name": self.aggregator.name, "params": dict(self.aggregator.params)},
-            "reputation": {
-                "enabled": self.reputation.enabled,
-                "decay_lambda": self.reputation.decay_lambda,
-                "participation_threshold": self.reputation.participation_threshold,
-            },
-            "resource": {"alpha": self.resource.alpha, "beta": self.resource.beta},
-            "eval_fraction": self.eval_fraction,
-        }
+        d = asdict(self)
+        d["malicious"]["targets"] = list(self.malicious.targets)
         if self.dataset.type == "synthetic":
-            d["dataset"].update(
-                classes=self.dataset.classes,
-                features=self.dataset.features,
-                samples_per_class=self.dataset.samples_per_class,
-                cluster_spread=self.dataset.cluster_spread,
-            )
+            del d["dataset"]["csv_path"]
         else:
-            d["dataset"].update(classes=self.dataset.classes, csv_path=self.dataset.csv_path)
+            for k in ("features", "samples_per_class", "cluster_spread"):
+                del d["dataset"][k]
         return d
 
 
@@ -229,53 +196,19 @@ def _build_aggregator(raw: dict, num_clients: int) -> AggregatorSpec:
     _check_keys(d, {"name", "params"}, "aggregator")
     if "name" not in d:
         raise ConfigError("aggregator.name", "required")
-    name = _get_str(d, "name", "aggregator.", choices=AGGREGATOR_NAMES)
+    name = _get_str(d, "name", "aggregator.", choices=AGGREGATORS)
+    entry = AGGREGATORS[name]
     raw_params = _require_dict(d.get("params", {}), "aggregator.params")
-    defaults = AGGREGATOR_PARAMS[name]
-    _check_keys(raw_params, set(defaults), "aggregator.params")
-    p = "aggregator.params."
+    _check_keys(raw_params, {p.name for p in entry.params}, "aggregator.params")
+    path = "aggregator.params."
     params: dict = {}
-    if name == "trimmed_mean":
-        beta = _get_int(raw_params, "trim_beta", p, default=defaults["trim_beta"], minimum=0)
-        if num_clients <= 2 * beta:
-            raise ConfigError(
-                p + "trim_beta",
-                f"trimmed_mean requires num_clients > 2*trim_beta (num_clients={num_clients}, trim_beta={beta})",
-            )
-        params["trim_beta"] = beta
-    elif name in ("krum", "multi_krum", "bulyan"):
-        f = _get_int(raw_params, "byzantine_f", p, default=defaults["byzantine_f"], minimum=0)
-        need = 4 * f + 3 if name == "bulyan" else 2 * f + 3
-        rule = "4*byzantine_f + 3" if name == "bulyan" else "2*byzantine_f + 3"
-        if num_clients < need:
-            raise ConfigError(
-                p + "byzantine_f",
-                f"{name} requires num_clients >= {rule} (num_clients={num_clients}, byzantine_f={f})",
-            )
-        params["byzantine_f"] = f
-        if name == "multi_krum":
-            m = _get_int(raw_params, "multi_krum_m", p, default=defaults["multi_krum_m"], minimum=1)
-            if m > num_clients - f:
-                raise ConfigError(
-                    p + "multi_krum_m",
-                    f"multi_krum requires multi_krum_m <= num_clients - byzantine_f (got m={m})",
-                )
-            params["multi_krum_m"] = m
-    elif name == "geomedian":
-        params["weiszfeld_tol"] = _get_real(
-            raw_params, "weiszfeld_tol", p, default=defaults["weiszfeld_tol"], exclusive_min=0.0
-        )
-        params["weiszfeld_max_iters"] = _get_int(
-            raw_params, "weiszfeld_max_iters", p, default=defaults["weiszfeld_max_iters"], minimum=1
-        )
-    elif name == "sigma_pid":
-        if num_clients < 3:
-            raise ConfigError("num_clients", "sigma_pid requires num_clients >= 3")
-        params["sigma_k"] = _get_real(
-            raw_params, "sigma_k", p, default=defaults["sigma_k"], exclusive_min=0.0
-        )
-        for gain in ("kp", "ki", "kd"):
-            params[gain] = _get_real(raw_params, gain, p, default=defaults[gain])
+    for p in entry.params:
+        get = _get_int if isinstance(p.default, int) else _get_real
+        params[p.name] = get(raw_params, p.name, path, default=p.default)
+    problem = entry.problem(num_clients, params)
+    if problem is not None:
+        blamed, message = problem
+        raise ConfigError("num_clients" if blamed is None else path + blamed, message)
     return AggregatorSpec(name=name, params=params)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregators import AggregationDecision, PidState, aggregate, min_updates
+from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate
 from .attacks import flip_labels, poison_update
 from .config import ConfigError, SimConfig, build_config, set_by_path
 from .core import ClientId, ModelParams, Rng, substream
@@ -169,7 +169,7 @@ def run(config: SimConfig) -> RunResult:
     ledger = ResourceLedger(alpha=config.resource.alpha, beta=config.resource.beta)
     pid_state: PidState | None = None
     agg = config.aggregator
-    needed = min_updates(agg.name, agg.params)
+    needed = AGGREGATORS[agg.name].min_clients(agg.params)
 
     initial_loss, initial_accuracy = evaluate(params, eval_data)
 
@@ -181,7 +181,9 @@ def run(config: SimConfig) -> RunResult:
 
     for t in range(config.rounds):
         if config.reputation.enabled:
-            participants = select_participants(reputation, all_clients)
+            # Never below the gate's own fallback of 3, so runs that already
+            # succeeded keep their participants and their bytes.
+            participants = select_participants(reputation, all_clients, minimum=max(3, needed))
         else:
             participants = all_clients
         non_participants = tuple(c for c in all_clients if c not in set(participants))
@@ -404,8 +406,6 @@ def sweep(
     if not values:
         raise ConfigError(param_path, "no sweep values given")
     base = config.to_dict()
-    # Fail on a bad path before any run starts.
-    set_by_path(base, param_path, base_value_probe(base, param_path))
     rows: list[SweepRow] = []
     for value in values:
         cfg = build_config(set_by_path(base, param_path, value))
@@ -430,15 +430,3 @@ def sweep(
             fh.write(sweep_summary_csv(rows))
     return rows
 
-
-def base_value_probe(effective: dict, param_path: str):
-    """Current value at a dotted path (validates the path addresses a scalar)."""
-    node = effective
-    parts = param_path.split(".")
-    for i, part in enumerate(parts):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(".".join(parts[: i + 1]), "unknown config field")
-        node = node[part]
-    if isinstance(node, (dict, list)):
-        raise ConfigError(param_path, "not a scalar field")
-    return node

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregators import MAD_FLOOR, MAD_SCALE, AggregationDecision
+from .aggregators import AggregationDecision, robust_distances
 from .core import ClientId, ModelParams
 
 
@@ -86,12 +86,7 @@ def compute_indicators(
     for u in ups:
         if u.delta.shape != global_params.shape:
             raise ValueError("update shape does not match global model")
-    mat = np.stack([u.delta.values for u in ups])
-    reference = np.median(mat, axis=0)
-    dists = np.linalg.norm(mat - reference, axis=1)
-    med = float(np.median(dists))
-    mad = float(np.median(np.abs(dists - med)))
-    scale = max(MAD_SCALE * mad, MAD_FLOOR)
+    dists, med, scale = robust_distances(np.stack([u.delta.values for u in ups]))
     return TrustIndicators(
         distance={u.client: float(d) for u, d in zip(ups, dists)},
         z_score={u.client: float((d - med) / scale) for u, d in zip(ups, dists)},
@@ -124,17 +119,20 @@ def update_reputation(
     )
 
 
-def select_participants(state: ReputationState, all_clients) -> tuple[ClientId, ...]:
+def select_participants(
+    state: ReputationState, all_clients, minimum: int = 3
+) -> tuple[ClientId, ...]:
     """Clients whose reputation clears the gate, ascending by id.
 
-    If fewer than 3 qualify, the 3 highest-reputation clients (ties to the
-    lower id) are returned instead so aggregation preconditions can hold.
+    If fewer than ``minimum`` qualify, the ``minimum`` highest-reputation
+    clients (ties to the lower id) are returned instead so aggregation
+    preconditions can hold.
     """
     ids = sorted(int(c) for c in all_clients)
     qualified = [c for c in ids if state.reputation[c] >= state.participation_threshold]
-    if len(qualified) >= 3 or len(qualified) == len(ids):
+    if len(qualified) >= minimum or len(qualified) == len(ids):
         return tuple(qualified)
-    top = sorted(ids, key=lambda c: (-state.reputation[c], c))[: min(3, len(ids))]
+    top = sorted(ids, key=lambda c: (-state.reputation[c], c))[: min(minimum, len(ids))]
     return tuple(sorted(top))
 
 

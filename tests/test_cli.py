@@ -85,6 +85,21 @@ class TestRunCommand:
         assert "aggregator.params.byzantine_f" in err
         assert "\n" not in err.strip()
 
+    def test_too_few_usable_updates_exits_3(self, tmp_path, capsys):
+        # One diverged client leaves 7 updates; multi_krum with f=1, m=7 needs 8.
+        cfg = {
+            "num_clients": 8,
+            "rounds": 3,
+            "malicious": {"kind": "scale", "magnitude": 1e308, "targets": [0]},
+            "aggregator": {"name": "multi_krum", "params": {"byzantine_f": 1, "multi_krum_m": 7}},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:")
+        assert "\n" not in err.strip()
+
     def test_missing_config_exits_4(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 4

@@ -215,3 +215,11 @@ def test_shipped_default_config_is_valid():
     assert cfg.rounds == 20
     assert cfg.malicious.targets == (0, 1, 2, 3)
     assert cfg.malicious.fraction == 1.0
+
+
+def test_csv_effective_dict_keeps_only_csv_fields():
+    cfg = build_config(cfg_dict(dataset={"type": "csv", "classes": 3, "csv_path": "x.csv"}))
+    echo = cfg.to_dict()
+    assert echo["dataset"] == {"type": "csv", "classes": 3, "csv_path": "x.csv"}
+    assert echo["malicious"]["targets"] == []
+    assert build_config(echo).to_dict() == echo

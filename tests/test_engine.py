@@ -1,8 +1,11 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from fedwatch.aggregators import AGGREGATORS
 from fedwatch.config import build_config
 from fedwatch.engine import EngineError, confusion_rates, metrics_to_csv, run, sweep
 
@@ -209,6 +212,48 @@ class TestRun:
         with pytest.raises(EngineError):
             run(conf)
 
+    def test_diverged_client_under_multi_krum_raises_engine_error(self):
+        # multi_krum needs max(2f+3, m+f) = 8 updates; one diverged client
+        # leaves 7, which must stop the run before multi_krum itself rejects m.
+        conf = build_config(
+            {
+                "num_clients": 8,
+                "rounds": 3,
+                "malicious": {"kind": "scale", "magnitude": 1e308, "targets": [0]},
+                "aggregator": {"name": "multi_krum", "params": {"byzantine_f": 1, "multi_krum_m": 7}},
+            }
+        )
+        with pytest.raises(EngineError, match="7 usable updates, multi_krum needs 8"):
+            run(conf)
+
+
+DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+class TestGateFallback:
+    """The reputation gate admits at least what the aggregator needs."""
+
+    @pytest.mark.parametrize(
+        "threshold, aggregator",
+        [
+            (0.95, None),  # the default multi_krum, f=4, m=12: needs 16
+            (0.5, {"name": "krum", "params": {"byzantine_f": 4}}),
+            (0.95, {"name": "trimmed_mean", "params": {"trim_beta": 4}}),
+        ],
+    )
+    def test_every_round_has_min_clients_participants(self, threshold, aggregator):
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw["reputation"]["participation_threshold"] = threshold
+        if aggregator is not None:
+            raw["aggregator"] = aggregator
+        conf = build_config(raw)
+        need = AGGREGATORS[conf.aggregator.name].min_clients(conf.aggregator.params)
+        result = run(conf)
+        assert len(result.metrics) == conf.rounds
+        assert any(m.non_participants for m in result.metrics)  # the gate engaged
+        for m in result.metrics:
+            assert conf.num_clients - len(m.non_participants) >= need
+
 
 class TestCsvFormat:
     def test_header_and_shape(self):
@@ -267,3 +312,10 @@ class TestSweep:
 
         with pytest.raises(ConfigError):
             sweep(cfg(), "aggregator.params.nonexistent", [1.0])
+
+    def test_bad_path_writes_nothing(self, tmp_path):
+        from fedwatch.config import ConfigError
+
+        with pytest.raises(ConfigError):
+            sweep(cfg(), "train.nope", [1.0, 2.0], out_dir=str(tmp_path / "sweep"))
+        assert not (tmp_path / "sweep").exists()

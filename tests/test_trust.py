@@ -129,6 +129,12 @@ class TestSelectParticipants:
         # ties at 0.5 resolve to the lower id; third best is 0.3
         assert select_participants(state, range(5)) == (1, 2, 3)
 
+    def test_fallback_admits_the_requested_minimum(self):
+        rep = {0: 0.1, 1: 0.5, 2: 0.3, 3: 0.5, 4: 0.2, 5: 0.95}
+        state = ReputationState(reputation=rep, participation_threshold=0.9)
+        assert select_participants(state, range(6), minimum=5) == (1, 2, 3, 4, 5)
+        assert select_participants(state, range(6), minimum=9) == tuple(range(6))
+
 
 class TestLedger:
     def test_objective_reduces_to_loss_when_free(self):
