@@ -142,34 +142,31 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
 
 
 def _pairwise_sq_dists(mat: np.ndarray) -> np.ndarray:
+    """Squared L2 distance between every two rows, zero on the diagonal.
+
+    Each pair costs one BLAS dot of the difference with itself, the call a
+    per-pair ``np.dot`` makes, so the bits match it. ``np.einsum`` and the
+    Gram identity |a|^2 + |b|^2 - 2 a.b round differently and are avoided.
+    """
     n = mat.shape[0]
     sq = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = mat[i] - mat[j]
-            d = float(np.dot(diff, diff))
-            sq[i, j] = d
-            sq[j, i] = d
+    for i in range(n - 1):
+        diff = mat[i + 1 :] - mat[i]
+        d = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+        sq[i, i + 1 :] = d
+        sq[i + 1 :, i] = d
     return sq
 
 
-def _krum_score(sq_row: np.ndarray, self_idx: int, k: int) -> float:
-    """Sum of the k smallest squared distances to the other updates.
-
-    Summed in ascending order so the value is reproducible exactly.
-    """
-    others = np.sort(np.delete(sq_row, self_idx))
-    total = 0.0
-    for v in others[:k]:
-        total += float(v)
-    return total
-
-
 def _scores_for(mat: np.ndarray, f: int) -> np.ndarray:
-    n = mat.shape[0]
-    sq = _pairwise_sq_dists(mat)
-    k = n - f - 2
-    return np.asarray([_krum_score(sq[i], i, k) for i in range(n)])
+    """Each row's sum of its n-f-2 smallest squared distances to the others.
+
+    A sorted row starts with its own distance, 0.0, so ``cumsum`` (which
+    adds one by one) over its first n-f-1 entries gives the loop sum
+    0.0 + d1 + d2 + ... in ascending order, reproducible exactly.
+    """
+    rows = np.sort(_pairwise_sq_dists(mat), axis=1)
+    return np.cumsum(rows[:, : mat.shape[0] - f - 1], axis=1)[:, -1]
 
 
 def krum(updates, byzantine_f: int) -> AggregationDecision:
@@ -213,7 +210,7 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     delta = _weighted_mean(mat[chosen], weights[chosen])
     return AggregationDecision(
         included=tuple(ids[i] for i in chosen),
-        excluded=tuple(ids[i] for i in range(n) if i not in set(chosen)),
+        excluded=tuple(ids[i] for i in sorted(ranked[m:])),
         delta=ModelParams(delta, ups[0].delta.shape),
         overhead_ops=n * (n - 1) // 2 + m,
         info={"scores": {ids[i]: float(scores[i]) for i in range(n)}},
@@ -227,7 +224,9 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     the max(|R|-f-2, 0) nearest peers within R), moving each winner into S,
     until |S| = n-2f. Aggregation: per coordinate, take the median of S and
     average the n-4f values closest to it, breaking distance ties by the
-    smaller value and then the lower client id. Requires n >= 4f+3.
+    smaller value and then the lower client id. Each coordinate's kept
+    values are added one by one in that order, closest to the median
+    first, starting from 0.0. Requires n >= 4f+3.
     overhead_ops = n(n-1)/2 + 2|S|.
     """
     ups = _canonical(updates)
@@ -235,43 +234,38 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     f = int(byzantine_f)
     _check("bulyan", n, {"byzantine_f": f})
     ids, mat, _ = _stack(ups)
-    sq = _pairwise_sq_dists(mat)
 
-    remaining = list(range(n))
+    # Rows of distances are sorted once. Each pick deletes the winner's row
+    # and its entry in every other row, so the rows stay sorted, keep their
+    # own 0.0 as smallest entry and score as in _scores_for over the
+    # remaining updates. Sorting in place matches order: ties share a value.
+    vals = _pairwise_sq_dists(mat)
+    order = np.argsort(vals, axis=1)
+    vals.sort(axis=1)
+    remaining = np.arange(n)
     selected: list[int] = []
-    while len(selected) < n - 2 * f:
-        k = max(len(remaining) - f - 2, 0)
-        best = None
-        best_key = None
-        for i in remaining:
-            others = np.sort(sq[i, [j for j in remaining if j != i]])
-            score = 0.0
-            for v in others[:k]:
-                score += float(v)
-            key = (score, ids[i])
-            if best_key is None or key < best_key:
-                best_key = key
-                best = i
-        selected.append(best)
-        remaining.remove(best)
+    for m in range(n, 2 * f, -1):
+        k = max(m - f - 2, 0)
+        w = int(np.argmin(np.cumsum(vals[:, : k + 1], axis=1)[:, -1]))
+        selected.append(int(remaining[w]))
+        alive = order != remaining[w]
+        alive[w] = False
+        order = order[alive].reshape(m - 1, m - 1)
+        vals = vals[alive].reshape(m - 1, m - 1)
+        remaining = np.delete(remaining, w)
 
-    selected = sorted(selected)
-    sel_ids = [ids[i] for i in selected]
-    sub = mat[selected]
+    selected.sort()
+    mat = mat[selected]  # drops the rows outside S from memory
     keep = n - 4 * f
-    dim = sub.shape[1]
-    delta = np.empty(dim)
-    for c in range(dim):
-        col = sub[:, c]
-        med = float(np.median(col))
-        order = sorted(range(len(selected)), key=lambda i: (abs(col[i] - med), col[i], sel_ids[i]))
-        total = 0.0
-        for i in order[:keep]:
-            total += float(col[i])
-        delta[c] = total / keep
+    # lexsort is stable and the rows are in ascending id order, so equal
+    # (distance, value) keys keep the lower id first.
+    rank = np.lexsort((mat, np.abs(mat - np.median(mat, axis=0))), axis=0)[:keep]
+    kept = np.take_along_axis(mat, rank, axis=0)
+    # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives.
+    delta = (np.cumsum(kept, axis=0, out=kept)[-1] + 0.0) / keep
     return AggregationDecision(
-        included=tuple(sel_ids),
-        excluded=tuple(ids[i] for i in range(n) if i not in set(selected)),
+        included=tuple(ids[i] for i in selected),
+        excluded=tuple(ids[i] for i in remaining),
         delta=ModelParams(delta, ups[0].delta.shape),
         overhead_ops=n * (n - 1) // 2 + 2 * len(selected),
         info={},

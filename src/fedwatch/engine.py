@@ -406,9 +406,10 @@ def sweep(
     if not values:
         raise ConfigError(param_path, "no sweep values given")
     base = config.to_dict()
+    # Every value is validated before any runs, so a bad one leaves no output.
+    configs = [build_config(set_by_path(base, param_path, value)) for value in values]
     rows: list[SweepRow] = []
-    for value in values:
-        cfg = build_config(set_by_path(base, param_path, value))
+    for value, cfg in zip(values, configs):
         start = time.monotonic()
         result = run(cfg)
         elapsed = time.monotonic() - start

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedwatch.aggregators import (
+    AGGREGATORS,
     PidState,
+    _pairwise_sq_dists,
     bulyan,
     fedavg,
     geomedian,
@@ -418,3 +422,68 @@ class TestCrossCuttingInvariants:
         ups = [upd(1, [1.0]), upd(1, [2.0]), upd(2, [3.0])]
         with pytest.raises(ValueError):
             fedavg(ups)
+
+
+@st.composite
+def krum_family_cases(draw, name):
+    """Updates on a coarse grid, many of them repeated, so ties are common.
+
+    Returns (updates in submission order, params, vectors and ids in
+    ascending id order).
+    """
+    f = draw(st.integers(0, 5))
+    params = {"byzantine_f": f}
+    if name == "multi_krum":
+        params["multi_krum_m"] = 1
+    n = draw(st.integers(AGGREGATORS[name].min_clients(params), 25))
+    if name == "multi_krum":
+        params["multi_krum_m"] = draw(st.integers(1, n - f))
+    dim = draw(st.integers(1, 4))
+    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    pool = draw(st.lists(st.lists(grid, min_size=dim + 1, max_size=dim + 1), min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    ups = [upd(i, row, shape=(1, dim)) for i, row in zip(ids, rows)]
+    ordered = sorted(zip(ids, rows))
+    return ups, params, [np.asarray(r) for _, r in ordered], [i for i, _ in ordered]
+
+
+class TestKrumKernelsMatchOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(krum_family_cases("krum"))
+    def test_krum_scores(self, case):
+        ups, params, vectors, ids = case
+        d = krum(ups, **params)
+        ref = krum_scores_naive(vectors, params["byzantine_f"])
+        assert np.array_equal([d.info["scores"][i] for i in ids], ref)
+        assert d.included == (ids[min(range(len(ids)), key=lambda i: (ref[i], ids[i]))],)
+
+    @settings(max_examples=200, deadline=None)
+    @given(krum_family_cases("multi_krum"))
+    def test_multi_krum_selection(self, case):
+        ups, params, vectors, ids = case
+        d = multi_krum(ups, **params)
+        ref = krum_scores_naive(vectors, params["byzantine_f"])
+        ranked = sorted(range(len(ids)), key=lambda i: (ref[i], ids[i]))
+        assert d.included == tuple(sorted(ids[i] for i in ranked[: params["multi_krum_m"]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(krum_family_cases("bulyan"))
+    def test_bulyan_selection_and_delta(self, case):
+        ups, params, vectors, ids = case
+        d = bulyan(ups, **params)
+        sel, agg = bulyan_naive(vectors, ids, params["byzantine_f"])
+        assert list(d.included) == sel
+        assert np.array_equal(d.delta.values, agg)
+
+    def test_pairwise_distances_equal_per_pair_dot(self):
+        # np.einsum or the Gram identity would round differently here and
+        # silently change every Krum-family metrics.csv
+        mat = Rng(113).standard_normal((200, 330))
+        ref = np.zeros((200, 200))
+        for i in range(200):
+            for j in range(200):
+                if i != j:
+                    diff = mat[i] - mat[j]
+                    ref[i, j] = np.dot(diff, diff)
+        assert np.array_equal(_pairwise_sq_dists(mat), ref)

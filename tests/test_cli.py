@@ -155,6 +155,19 @@ class TestSweepCommand:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_invalid_later_value_runs_nothing(self, tmp_path, capsys):
+        # byzantine_f=1 is valid on the benchmark, 9 needs 21 clients
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--config", str(ROOT / "configs" / "default.json"),
+            "--param", "aggregator.params.byzantine_f",
+            "--values", "1,9",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "aggregator.params.byzantine_f" in capsys.readouterr().err
+        assert not (out / "1").exists()
+
     def test_singleton_sweep_matches_run(self, tmp_path):
         cfg = small_config(aggregator={"name": "sigma_pid", "params": {"sigma_k": 2.5}})
         cfg_path = write_config(tmp_path, cfg)
