@@ -59,12 +59,15 @@ def poison_update(update: ClientUpdate, spec: AttackSpec, rng: Rng) -> ClientUpd
     if spec.kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {spec.kind!r}")
     d = update.delta.values
-    if spec.kind == "sign_flip":
-        poisoned = -spec.magnitude * d
-    elif spec.kind == "scale":
-        poisoned = spec.magnitude * d
-    else:  # gaussian_noise
-        poisoned = d + rng.normal(0.0, abs(spec.magnitude), size=d.shape)
+    # A huge magnitude may overflow to inf; the ModelParams check below
+    # rejects that as non-finite, so an overflow warning would only be noise.
+    with np.errstate(over="ignore"):
+        if spec.kind == "sign_flip":
+            poisoned = -spec.magnitude * d
+        elif spec.kind == "scale":
+            poisoned = spec.magnitude * d
+        else:  # gaussian_noise
+            poisoned = d + rng.normal(0.0, abs(spec.magnitude), size=d.shape)
     return ClientUpdate(
         client=update.client,
         delta=ModelParams(poisoned, update.delta.shape),

@@ -48,7 +48,11 @@ class EngineError(RuntimeError):
 @dataclass(frozen=True)
 class RoundMetrics:
     """One metrics row; `positive` means truly malicious, `predicted
-    positive` means excluded this round, and 0/0 ratios resolve to 1.0."""
+    positive` means excluded this round, and 0/0 ratios resolve to 1.0.
+
+    tp/fp/tn/fn count only the participants whose update reached the
+    aggregator. A client whose training diverged, or whose update was not
+    finite, is listed in `excluded_ids` but counted in none of the four."""
 
     round: int
     global_loss: float
@@ -186,7 +190,8 @@ def run(config: SimConfig) -> RunResult:
             participants = select_participants(reputation, all_clients, minimum=max(3, needed))
         else:
             participants = all_clients
-        non_participants = tuple(c for c in all_clients if c not in set(participants))
+        participant_set = set(participants)
+        non_participants = tuple(c for c in all_clients if c not in participant_set)
 
         updates = []
         diverged: list[ClientId] = []
@@ -248,11 +253,14 @@ def run(config: SimConfig) -> RunResult:
         ledger_record(ledger, loss, cost, overhead)
         objective = ledger.entries[-1].objective
 
+        # Defence quality is scored only on the updates the aggregator saw: a
+        # diverged client stays in excluded_ids but is no true or false positive.
         excluded_set = set(decision.excluded)
-        tp = sum(1 for c in participants if c in malicious and c in excluded_set)
-        fp = sum(1 for c in participants if c not in malicious and c in excluded_set)
-        fn = sum(1 for c in participants if c in malicious and c not in excluded_set)
-        tn = sum(1 for c in participants if c not in malicious and c not in excluded_set)
+        judged = participant_set.difference(diverged)
+        tp = sum(1 for c in judged if c in malicious and c in excluded_set)
+        fp = sum(1 for c in judged if c not in malicious and c in excluded_set)
+        fn = sum(1 for c in judged if c in malicious and c not in excluded_set)
+        tn = sum(1 for c in judged if c not in malicious and c not in excluded_set)
         excl_accuracy, excl_precision, excl_recall = confusion_rates(tp, fp, tn, fn)
 
         metrics.append(

@@ -40,6 +40,12 @@ def predict_proba(params: ModelParams, x) -> np.ndarray:
     return e / e.sum()
 
 
+def _mean_loss(logp: np.ndarray, y: np.ndarray, w: np.ndarray, l2_reg: float) -> float:
+    """Mean cross-entropy of log-probabilities ``logp`` plus the ridge term."""
+    nll = -logp[np.arange(y.shape[0]), y].mean()
+    return float(nll + 0.5 * l2_reg * float(np.sum(w * w)))
+
+
 def _loss_grad_arrays(
     w: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, l2_reg: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -47,13 +53,13 @@ def _loss_grad_arrays(
     n = x.shape[0]
     logits = x @ w.T + b
     logp = _log_softmax(logits)
-    loss = -logp[np.arange(n), y].mean() + 0.5 * l2_reg * float(np.sum(w * w))
+    loss = _mean_loss(logp, y, w, l2_reg)
     g = np.exp(logp)
     g[np.arange(n), y] -= 1.0
     g /= n
     grad_w = g.T @ x + l2_reg * w
     grad_b = g.sum(axis=0)
-    return float(loss), grad_w, grad_b
+    return loss, grad_w, grad_b
 
 
 def loss_and_gradient(
@@ -81,33 +87,61 @@ def local_train(
     Each epoch shuffles the shard with the given rng and walks it in
     mini-batches, keeping the final partial batch. Raises
     TrainingDivergedError if the parameters go non-finite.
+
+    Every step performs the float operations of ``_loss_grad_arrays`` in
+    the same order on the same operands, so the result is bit-identical to
+    calling it per minibatch; only the loss, which steps never use, is
+    skipped. Subtracting the one-hot row is the same as subtracting 1.0 at
+    the label, because x - 0.0 == x.
     """
     data = shard.train
     n = data.num_samples
     if n == 0:
         raise ValueError("empty shard")
-    w = start.weights().copy()
-    b = start.biases().copy()
+    c, f = start.shape
+    cf = c * f
+    theta = start.values.copy()
+    w = theta[:cf].reshape(c, f)
+    b = theta[cf:]
+    w_t = w.T
+    grad = np.empty_like(theta)
+    grad_w = grad[:cf].reshape(c, f)
+    grad_b = grad[cf:]
+    ridge = np.empty_like(w)
+    eye = np.eye(c)
+    lr = cfg.learning_rate
+    l2 = cfg.l2_reg
     bs = max(1, int(cfg.batch_size))
+    # The ufunc reductions behind ndarray.max/sum, minus their Python wrappers.
+    row_max, row_sum = np.maximum.reduce, np.add.reduce
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(n)
+            xs = data.features[order]
+            onehots = eye[data.labels[order]]
             for lo in range(0, n, bs):
-                idx = order[lo : lo + bs]
-                _, gw, gb = _loss_grad_arrays(
-                    w, b, data.features[idx], data.labels[idx], cfg.l2_reg
-                )
-                w -= cfg.learning_rate * gw
-                b -= cfg.learning_rate * gb
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                x = xs[lo : lo + bs]
+                g = np.matmul(x, w_t)  # logits
+                g += b
+                g -= row_max(g, axis=1, keepdims=True)
+                norm = row_sum(np.exp(g), axis=1, keepdims=True)
+                g -= np.log(norm, out=norm)  # log-probabilities
+                np.exp(g, out=g)
+                g -= onehots[lo : lo + bs]  # p - onehot(y)
+                g /= x.shape[0]
+                np.matmul(g.T, x, out=grad_w)
+                grad_w += np.multiply(w, l2, out=ridge)
+                row_sum(g, axis=0, out=grad_b)
+                grad *= lr
+                theta -= grad
+        if not np.all(np.isfinite(theta)):
             raise TrainingDivergedError(f"client {shard.client} diverged")
-        final_loss, _, _ = _loss_grad_arrays(w, b, data.features, data.labels, cfg.l2_reg)
+        final_loss = _mean_loss(_log_softmax(data.features @ w_t + b), data.labels, w, l2)
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(f"client {shard.client} diverged")
-    final = np.concatenate([w.ravel(), b])
     return ClientUpdate(
         client=shard.client,
-        delta=ModelParams(final - start.values, start.shape),
+        delta=ModelParams(theta - start.values, start.shape),
         num_samples=n,
         local_loss=final_loss,
     )

@@ -1,10 +1,14 @@
-"""Independent reference implementations used to check the aggregators.
+"""Independent reference implementations used to check the library.
 
-These deliberately re-derive every quantity with plain loops and explicit
-tie-breaking so they share no selection or ordering logic with the library.
+The aggregator oracles deliberately re-derive every quantity with plain
+loops and explicit tie-breaking so they share no selection or ordering
+logic with the library. The trainer oracle is the original SGD loop.
 """
 
 import numpy as np
+
+from fedwatch.core import ClientUpdate, ModelParams
+from fedwatch.trainer import TrainingDivergedError
 
 
 def weighted_mean_naive(vectors, weights):
@@ -183,3 +187,58 @@ def anchor_dominance_margin(points, weights):
             pull += weights[j] * diff / np.linalg.norm(diff)
         margin = min(margin, abs(np.linalg.norm(pull) - weights[i]) / weights[i])
     return float(margin)
+
+
+def local_train_reference(start, shard, cfg, rng):
+    """The original per-minibatch SGD loop, kept verbatim as a bit-exact guard.
+
+    Each step gathers its minibatch by fancy indexing and calls the full
+    loss-and-gradient routine (loss included); the final pass computes a
+    gradient it then drops. ``fedwatch.trainer.local_train`` must return
+    the same bits and raise on the same inputs.
+    """
+    def _log_softmax(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def _loss_grad_arrays(w, b, x, y, l2_reg):
+        n = x.shape[0]
+        logits = x @ w.T + b
+        logp = _log_softmax(logits)
+        loss = -logp[np.arange(n), y].mean() + 0.5 * l2_reg * float(np.sum(w * w))
+        g = np.exp(logp)
+        g[np.arange(n), y] -= 1.0
+        g /= n
+        grad_w = g.T @ x + l2_reg * w
+        grad_b = g.sum(axis=0)
+        return float(loss), grad_w, grad_b
+
+    data = shard.train
+    n = data.num_samples
+    if n == 0:
+        raise ValueError("empty shard")
+    w = start.weights().copy()
+    b = start.biases().copy()
+    bs = max(1, int(cfg.batch_size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(cfg.local_epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, bs):
+                idx = order[lo : lo + bs]
+                _, gw, gb = _loss_grad_arrays(
+                    w, b, data.features[idx], data.labels[idx], cfg.l2_reg
+                )
+                w -= cfg.learning_rate * gw
+                b -= cfg.learning_rate * gb
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise TrainingDivergedError(f"client {shard.client} diverged")
+        final_loss, _, _ = _loss_grad_arrays(w, b, data.features, data.labels, cfg.l2_reg)
+    if not np.isfinite(final_loss):
+        raise TrainingDivergedError(f"client {shard.client} diverged")
+    final = np.concatenate([w.ravel(), b])
+    return ClientUpdate(
+        client=shard.client,
+        delta=ModelParams(final - start.values, start.shape),
+        num_samples=n,
+        local_loss=final_loss,
+    )

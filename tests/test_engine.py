@@ -138,7 +138,8 @@ class TestRun:
         result = run(conf)
         for m in result.metrics:
             assert 3 in m.excluded_ids
-            assert m.tp == 1
+            # excluded, but not a defence decision: no true positive
+            assert (m.tp, m.fp, m.tn, m.fn) == (0, 0, 7, 0)
         assert np.all(np.isfinite(result.final_params.values))
 
     def test_reputation_trace_and_gating(self):
@@ -253,6 +254,33 @@ class TestGateFallback:
         assert any(m.non_participants for m in result.metrics)  # the gate engaged
         for m in result.metrics:
             assert conf.num_clients - len(m.non_participants) >= need
+
+
+class TestDivergedClientsAreNotScored:
+    """Diverged clients stay in excluded_ids but count in no confusion cell."""
+
+    @staticmethod
+    def overflowing_fedavg():
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw.update(num_clients=8, rounds=2)
+        raw["aggregator"] = {"name": "fedavg", "params": {}}
+        raw["malicious"] = {"kind": "scale", "magnitude": 1e308, "targets": [2, 5]}
+        return build_config(raw)
+
+    def test_fedavg_reports_no_true_positives(self):
+        result = run(self.overflowing_fedavg())
+        assert len(result.metrics) == 2
+        for m in result.metrics:
+            assert m.excluded_ids == (2, 5)
+            assert (m.tp, m.fp, m.tn, m.fn) == (0, 0, 6, 0)
+            assert (m.excl_precision, m.excl_recall, m.excl_accuracy) == (1.0, 1.0, 1.0)
+        # the reputation penalty for the excluded clients is unchanged
+        last = result.reputation_trace[-1]
+        assert last[2] < last[0] and last[5] < last[0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_attack_raises_no_warning(self):
+        run(self.overflowing_fedavg())
 
 
 class TestCsvFormat:

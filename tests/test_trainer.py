@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedwatch.core import ModelParams, Rng
 from fedwatch.datagen import ClientShard, Dataset, generate_synthetic
@@ -13,6 +15,8 @@ from fedwatch.trainer import (
     loss_and_gradient,
     predict_proba,
 )
+
+from oracles import local_train_reference
 
 
 def mp(values, shape):
@@ -144,6 +148,49 @@ class TestLocalTrain:
         cfg = TrainConfig(learning_rate=1e150, local_epochs=4, batch_size=4, l2_reg=1.0)
         with pytest.raises(TrainingDivergedError):
             local_train(ModelParams.zeros((2, 3)), shard_of(ds), cfg, Rng(4, 5))
+
+
+def _train_outcome(train, start, shard, cfg, rng):
+    """The delta and loss bits of one training call, or the error it raised."""
+    try:
+        upd = train(start, shard, cfg, rng)
+    except (TrainingDivergedError, ValueError) as exc:
+        return type(exc).__name__
+    return upd.delta.values.tobytes(), np.float64(upd.local_loss).tobytes()
+
+
+class TestLocalTrainMatchesReference:
+    """The step kernel must give the reference loop's bits, divergence included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        classes=st.integers(2, 10),
+        features=st.integers(1, 40),
+        n=st.integers(1, 90),
+        batch_over=st.integers(0, 100),
+        epochs=st.integers(1, 3),
+        l2=st.sampled_from([0.0, 1e-4, 0.5]),
+        lr=st.sampled_from([1e-3, 0.1, 1.0, 3.0, 30.0, 1e4, 1e100, 1e200, 1e300]),
+        spread=st.sampled_from([0.0, 0.5, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical(self, classes, features, n, batch_over, epochs, l2, lr, spread, seed):
+        rng = Rng(seed)
+        shape = (classes, features)
+        start = mp(rng.standard_normal(classes * features + classes) * spread, shape)
+        data = Dataset(
+            rng.standard_normal((n, features)) * 2.0, rng.integers(0, classes, size=n)
+        )
+        shard = ClientShard(client=3, train=data, indices=np.arange(n))
+        cfg = TrainConfig(
+            learning_rate=lr,
+            local_epochs=epochs,
+            batch_size=1 + batch_over % (n + 2),
+            l2_reg=l2,
+        )
+        expected = _train_outcome(local_train_reference, start, shard, cfg, Rng(seed, 5))
+        got = _train_outcome(local_train, start, shard, cfg, Rng(seed, 5))
+        assert got == expected
 
 
 class TestEvaluate:
