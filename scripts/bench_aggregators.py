@@ -8,6 +8,7 @@ parameter keeps its registry default. Each size gets one untimed call
 first.
 
 Usage: python scripts/bench_aggregators.py [--n 20,100,200] [--d 12,330] [--reps 5]
+                                           [--aggregators bulyan,krum]
 """
 
 import argparse
@@ -51,14 +52,23 @@ def main(argv=None) -> int:
     parser.add_argument("--n", default="20,100,200", help="client counts, comma-separated")
     parser.add_argument("--d", default="12,330", help="update sizes, comma-separated, each >= 2")
     parser.add_argument("--reps", type=int, default=5, help="timed calls per size")
+    parser.add_argument(
+        "--aggregators", default=",".join(AGGREGATORS), help="names to time, comma-separated"
+    )
     args = parser.parse_args(argv)
     sizes_n = [int(v) for v in args.n.split(",")]
     sizes_d = [int(v) for v in args.d.split(",")]
+    names = args.aggregators.split(",")
     if args.reps < 1 or min(sizes_n) < 1 or min(sizes_d) < 2:
         parser.error("--reps and every n must be >= 1, every d >= 2")
+    unknown = [name for name in names if name not in AGGREGATORS]
+    if unknown:
+        parser.error(f"unknown aggregators {','.join(unknown)}; known: {','.join(AGGREGATORS)}")
 
     print(f"{'aggregator':<14} {'n':>5} {'d':>5} {'ms_p50':>10} {'overhead_ops':>12}")
     for name, entry in AGGREGATORS.items():
+        if name not in names:
+            continue
         for n in sizes_n:
             params = params_for(entry, n)
             if entry.problem(n, params) is not None:

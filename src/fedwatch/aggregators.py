@@ -161,12 +161,15 @@ def _pairwise_sq_dists(mat: np.ndarray) -> np.ndarray:
 def _scores_for(mat: np.ndarray, f: int) -> np.ndarray:
     """Each row's sum of its n-f-2 smallest squared distances to the others.
 
-    A sorted row starts with its own distance, 0.0, so ``cumsum`` (which
-    adds one by one) over its first n-f-1 entries gives the loop sum
-    0.0 + d1 + d2 + ... in ascending order, reproducible exactly.
+    The distance matrix is symmetric, so sorting it along axis 0 puts each
+    row's distances, its own 0.0 first, down a column. ``add.reduce`` along
+    axis 0 of that C-contiguous block adds one row of it at a time, which
+    gives every column the loop sum 0.0 + d1 + d2 + ... in ascending order,
+    reproducible exactly (along the last axis numpy would sum pairwise).
     """
-    rows = np.sort(_pairwise_sq_dists(mat), axis=1)
-    return np.cumsum(rows[:, : mat.shape[0] - f - 1], axis=1)[:, -1]
+    cols = _pairwise_sq_dists(mat)
+    cols.sort(axis=0)
+    return np.add.reduce(cols[: mat.shape[0] - f - 1], axis=0)
 
 
 def krum(updates, byzantine_f: int) -> AggregationDecision:
@@ -217,6 +220,57 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     )
 
 
+def _iterated_krum(sq: np.ndarray, f: int) -> tuple[list[int], np.ndarray]:
+    """Bulyan's selection over the squared-distance matrix ``sq`` (consumed).
+
+    Picks n-2f rows one at a time: with m rows left, each live row scores
+    the sum of its k+1 smallest distances to live rows (k = max(m-f-2, 0),
+    its own 0.0 included), the lowest score wins and ties go to the lowest
+    row. Returns the picks in pick order and the rows never picked.
+
+    ``sq`` is symmetric, so sorting it in place along axis 0 turns each
+    row's sorted distances into a column: cols[j, r] is row r's j-th
+    smallest. Row r's window cols[:end[r] + 1, r] holds its k+1 smallest
+    live distances in sorted order, with 0.0 wherever a distance left it.
+    Every distance is >= 0, so x + 0.0 == x and ``add.reduce`` along axis 0
+    (one row of cols at a time, see ``_scores_for``) sums each window to
+    the same bits as the live distances alone. A pick removes one distance
+    from every window: the winner's own if it lies inside, else the last
+    live one, since k drops by one; the window end then steps back past
+    distances to rows already picked, so it always sits on a live one.
+    """
+    n = sq.shape[0]
+    order = np.argsort(sq, axis=0)  # order[j, r]: the row whose distance is cols[j, r]
+    sq.sort(axis=0)  # ties share a value, so this matches order
+    cols = sq
+    pos = np.empty_like(order)  # pos[i, r]: where column r keeps its distance to row i
+    np.put_along_axis(pos, order, np.arange(n)[:, None], axis=0)
+    end = np.full(n, n - f - 2)
+    live = np.ones(n, dtype=bool)
+    rows = np.arange(n)  # the live rows, ascending
+    picks: list[int] = []
+    for m in range(n, 2 * f, -1):
+        scores = np.add.reduce(cols[: end[rows].max() + 1], axis=0)
+        w = int(rows[np.argmin(scores[rows])])
+        picks.append(w)
+        live[w] = False
+        rows = rows[rows != w]
+        if m - 1 <= max(2 * f, 1):
+            continue  # no pick left, or one left with a single candidate
+        e = end[rows]
+        out = np.minimum(pos[w, rows], e)
+        cols[out, rows] = 0.0
+        back = out == e
+        r, e = rows[back], e[back] - 1
+        while True:
+            dead = ~live[order[e, r]]
+            if not dead.any():
+                break
+            e -= dead
+        end[r] = e
+    return picks, rows
+
+
 def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     """Krum-based selection followed by a trimmed coordinate-wise average.
 
@@ -235,25 +289,7 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     _check("bulyan", n, {"byzantine_f": f})
     ids, mat, _ = _stack(ups)
 
-    # Rows of distances are sorted once. Each pick deletes the winner's row
-    # and its entry in every other row, so the rows stay sorted, keep their
-    # own 0.0 as smallest entry and score as in _scores_for over the
-    # remaining updates. Sorting in place matches order: ties share a value.
-    vals = _pairwise_sq_dists(mat)
-    order = np.argsort(vals, axis=1)
-    vals.sort(axis=1)
-    remaining = np.arange(n)
-    selected: list[int] = []
-    for m in range(n, 2 * f, -1):
-        k = max(m - f - 2, 0)
-        w = int(np.argmin(np.cumsum(vals[:, : k + 1], axis=1)[:, -1]))
-        selected.append(int(remaining[w]))
-        alive = order != remaining[w]
-        alive[w] = False
-        order = order[alive].reshape(m - 1, m - 1)
-        vals = vals[alive].reshape(m - 1, m - 1)
-        remaining = np.delete(remaining, w)
-
+    selected, remaining = _iterated_krum(_pairwise_sq_dists(mat), f)
     selected.sort()
     mat = mat[selected]  # drops the rows outside S from memory
     keep = n - 4 * f
@@ -261,8 +297,10 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     # (distance, value) keys keep the lower id first.
     rank = np.lexsort((mat, np.abs(mat - np.median(mat, axis=0))), axis=0)[:keep]
     kept = np.take_along_axis(mat, rank, axis=0)
-    # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives.
-    delta = (np.cumsum(kept, axis=0, out=kept)[-1] + 0.0) / keep
+    # Every delta has at least 2 values, so axis 1 stays numpy's inner loop
+    # and each column is summed in row order, as in _scores_for. + 0.0 turns
+    # a -0.0 total into the 0.0 that a sum started at 0.0 gives.
+    delta = (np.add.reduce(kept, axis=0) + 0.0) / keep
     return AggregationDecision(
         included=tuple(ids[i] for i in selected),
         excluded=tuple(ids[i] for i in remaining),

@@ -113,7 +113,7 @@ class ModelParams:
             raise ValueError(
                 f"expected {c * f + c} values for shape {self.shape}, got {v.size}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("non-finite parameter values")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "shape", (int(c), int(f)))

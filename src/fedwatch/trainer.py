@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +24,18 @@ class TrainConfig:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # np.maximum.reduce / np.add.reduce are the ufuncs behind ndarray.max /
+    # sum, called without their Python wrappers.
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+
+
+@lru_cache(maxsize=None)
+def _eye(c: int) -> np.ndarray:
+    """Read-only c x c identity; row y is the one-hot encoding of label y."""
+    eye = np.eye(c)
+    eye.flags.writeable = False
+    return eye
 
 
 def predict_proba(params: ModelParams, x) -> np.ndarray:
@@ -41,9 +52,13 @@ def predict_proba(params: ModelParams, x) -> np.ndarray:
 
 
 def _mean_loss(logp: np.ndarray, y: np.ndarray, w: np.ndarray, l2_reg: float) -> float:
-    """Mean cross-entropy of log-probabilities ``logp`` plus the ridge term."""
-    nll = -logp[np.arange(y.shape[0]), y].mean()
-    return float(nll + 0.5 * l2_reg * float(np.sum(w * w)))
+    """Mean cross-entropy of log-probabilities ``logp`` plus the ridge term.
+
+    ``add.reduce(...) / n`` is what ``ndarray.mean`` computes.
+    """
+    n = y.shape[0]
+    nll = -(np.add.reduce(logp[np.arange(n), y]) / n)
+    return float(nll + 0.5 * l2_reg * float(np.add.reduce(w * w, axis=None)))
 
 
 def _loss_grad_arrays(
@@ -108,7 +123,7 @@ def local_train(
     grad_w = grad[:cf].reshape(c, f)
     grad_b = grad[cf:]
     ridge = np.empty_like(w)
-    eye = np.eye(c)
+    eye = _eye(c)
     lr = cfg.learning_rate
     l2 = cfg.l2_reg
     bs = max(1, int(cfg.batch_size))
@@ -134,7 +149,7 @@ def local_train(
                 row_sum(g, axis=0, out=grad_b)
                 grad *= lr
                 theta -= grad
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise TrainingDivergedError(f"client {shard.client} diverged")
         final_loss = _mean_loss(_log_softmax(data.features @ w_t + b), data.labels, w, l2)
     if not np.isfinite(final_loss):

@@ -2,11 +2,13 @@
 
 The aggregator oracles deliberately re-derive every quantity with plain
 loops and explicit tie-breaking so they share no selection or ordering
-logic with the library. The trainer oracle is the original SGD loop.
+logic with the library. The trainer oracle is the original SGD loop, and
+``bulyan_compacting`` is the original vectorised Bulyan kernel.
 """
 
 import numpy as np
 
+from fedwatch.aggregators import _pairwise_sq_dists
 from fedwatch.core import ClientUpdate, ModelParams
 from fedwatch.trainer import TrainingDivergedError
 
@@ -99,6 +101,48 @@ def bulyan_naive(vectors, ids, f):
             acc += col[i]
         agg.append(acc / keep)
     return sel_ids, np.asarray(agg)
+
+
+def bulyan_compacting(mat, f):
+    """The compacting Bulyan kernel, kept verbatim as a bit-exact guard.
+
+    ``mat`` holds one update per row in ascending id order. Each pick
+    cumsums the remaining rows' sorted distances and deletes the winner's
+    row and entry with a boolean mask. Returns the picked row indices
+    (ascending), the rows never picked and the delta;
+    ``fedwatch.aggregators.bulyan`` must give the same ids and delta bits.
+    """
+    n = mat.shape[0]
+
+    # Rows of distances are sorted once. Each pick deletes the winner's row
+    # and its entry in every other row, so the rows stay sorted, keep their
+    # own 0.0 as smallest entry and score as in _scores_for over the
+    # remaining updates. Sorting in place matches order: ties share a value.
+    vals = _pairwise_sq_dists(mat)
+    order = np.argsort(vals, axis=1)
+    vals.sort(axis=1)
+    remaining = np.arange(n)
+    selected: list[int] = []
+    for m in range(n, 2 * f, -1):
+        k = max(m - f - 2, 0)
+        w = int(np.argmin(np.cumsum(vals[:, : k + 1], axis=1)[:, -1]))
+        selected.append(int(remaining[w]))
+        alive = order != remaining[w]
+        alive[w] = False
+        order = order[alive].reshape(m - 1, m - 1)
+        vals = vals[alive].reshape(m - 1, m - 1)
+        remaining = np.delete(remaining, w)
+
+    selected.sort()
+    mat = mat[selected]  # drops the rows outside S from memory
+    keep = n - 4 * f
+    # lexsort is stable and the rows are in ascending id order, so equal
+    # (distance, value) keys keep the lower id first.
+    rank = np.lexsort((mat, np.abs(mat - np.median(mat, axis=0))), axis=0)[:keep]
+    kept = np.take_along_axis(mat, rank, axis=0)
+    # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives.
+    delta = (np.cumsum(kept, axis=0, out=kept)[-1] + 0.0) / keep
+    return selected, remaining, delta
 
 
 def geomedian_grid_2d(points, weights, levels=9, cells=50):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedwatch.aggregators import (
@@ -19,6 +19,7 @@ from fedwatch.core import ClientUpdate, ModelParams, Rng
 
 from oracles import (
     anchor_dominance_margin,
+    bulyan_compacting,
     bulyan_naive,
     geomedian_grid_2d,
     krum_scores_naive,
@@ -487,3 +488,68 @@ class TestKrumKernelsMatchOracles:
                     diff = mat[i] - mat[j]
                     ref[i, j] = np.dot(diff, diff)
         assert np.array_equal(_pairwise_sq_dists(mat), ref)
+
+
+def bulyan_rows(rng, kind, n, dim, distinct, exponent):
+    """n update rows of dim + 1 values, drawn from ``distinct`` pool rows."""
+    shape = (distinct, dim + 1)
+    if kind == "grid":  # half steps: every distance and sum is exact
+        pool = rng.integers(-4, 5, size=shape) / 2.0
+    elif kind == "gaussian":
+        pool = rng.standard_normal(shape) * 10.0**exponent
+    elif kind == "mixed":  # magnitudes 1e-8 to 1e8 within one update set
+        pool = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=(distinct, 1))
+    elif kind == "offset":  # 0 or 2**26, plus -1, 0 or 1: sums of distances round
+        pool = rng.integers(0, 2, size=shape) * 2.0**26 + rng.integers(-1, 2, size=shape)
+    else:  # "overflow": distances between the 1e154 rows overflow to inf
+        pool = rng.standard_normal(shape)
+        pool[rng.integers(0, 2, size=distinct) == 1] *= 1e154
+    return pool[rng.integers(0, distinct, size=n)]
+
+
+class TestBulyanMatchesCompactingKernel:
+    """The windowed selection must keep what the compacting one kept, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(3, 44),
+        f_draw=st.integers(0, 10),
+        dim=st.integers(1, 5),
+        kind=st.sampled_from(["grid", "gaussian", "mixed", "offset", "overflow"]),
+        distinct=st.integers(1, 44),
+        exponent=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # summed pairwise, as numpy sums along a contiguous last axis, the
+    # windows of this case rank differently and keep another set
+    @example(n=11, f_draw=2, dim=2, kind="offset", distinct=11, exponent=0, seed=14)
+    def test_same_ids_and_delta_bits(self, n, f_draw, dim, kind, distinct, exponent, seed):
+        f = f_draw % ((n - 3) // 4 + 1)  # 0 up to the largest f that n allows
+        rng = Rng(seed)
+        rows = bulyan_rows(rng, kind, n, dim, distinct, exponent)
+        ids = [int(i) for i in rng.permutation(100)[:n]]
+        ups = [upd(i, row, shape=(1, dim)) for i, row in zip(ids, rows)]
+        by_id = sorted(range(n), key=lambda i: ids[i])
+        with np.errstate(over="ignore"):
+            d = bulyan(ups, f)
+            picked, unpicked, delta = bulyan_compacting(rows[by_id], f)
+        assert d.included == tuple(ids[by_id[i]] for i in picked)
+        assert d.excluded == tuple(ids[by_id[i]] for i in unpicked)
+        assert d.delta.values.tobytes() == delta.tobytes()
+
+
+class TestKrumScoresSumInAscendingOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 44),
+        dim=st.integers(1, 5),
+        kind=st.sampled_from(["gaussian", "mixed", "offset"]),
+        distinct=st.integers(1, 44),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scores_equal_the_loop_sum(self, n, dim, kind, distinct, seed):
+        # on these inputs a pairwise or reordered sum differs in the last bits
+        rows = bulyan_rows(Rng(seed), kind, n, dim, distinct, 0)
+        f = (n - 3) // 4
+        d = krum([upd(i, row, shape=(1, dim)) for i, row in enumerate(rows)], byzantine_f=f)
+        assert np.array_equal(list(d.info["scores"].values()), krum_scores_naive(rows, f))

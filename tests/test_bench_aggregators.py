@@ -1,6 +1,8 @@
 import importlib.util
 import pathlib
 
+import pytest
+
 from fedwatch.aggregators import AGGREGATORS
 
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_aggregators.py"
@@ -26,3 +28,18 @@ def test_smoke_one_row_per_aggregator_and_size(capsys):
     for r in timed:
         assert float(r[3]) >= 0.0
         assert int(r[4]) > 0
+
+
+def test_aggregators_filter_times_only_the_named_ones(capsys):
+    argv = ["--aggregators", "bulyan,krum", "--n", "7", "--d", "3", "--reps", "1"]
+    assert load_script().main(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    # rows keep registry order, whatever order the names came in
+    assert [(r[0], r[1], r[2]) for r in rows] == [("krum", "7", "3"), ("bulyan", "7", "3")]
+
+
+def test_unknown_aggregator_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script().main(["--aggregators", "bulyan,nope", "--n", "7", "--d", "3"])
+    assert exc.value.code == 2
+    assert "nope" in capsys.readouterr().err
