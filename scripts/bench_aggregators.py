@@ -34,7 +34,6 @@ def synthetic_updates(n: int, d: int) -> list[ClientUpdate]:
             client=i,
             delta=ModelParams(rng.standard_normal(d), (1, d - 1)),
             num_samples=int(rng.integers(1, 50)),
-            local_loss=0.0,
         )
         for i in range(n)
     ]

@@ -24,10 +24,10 @@ from .config import (
     build_config,
     load_config,
 )
-from .core import ClientId, ClientUpdate, ModelParams, Rng, flatten_index, l2_distance
+from .core import ClientId, ClientUpdate, ModelParams, Rng
 from .datagen import ClientShard, Dataset, HeterogeneitySpec, generate_synthetic, load_csv, partition
 from .engine import EngineError, RoundMetrics, RunResult, run, sweep, write_run_outputs
-from .trainer import TrainConfig, TrainingDivergedError, evaluate, local_train, loss_and_gradient, predict_proba
+from .trainer import TrainConfig, TrainingDivergedError, evaluate, local_train, loss_and_gradient
 from .trust import (
     ReputationState,
     ResourceLedger,

@@ -51,8 +51,8 @@ def flip_labels(data: Dataset, fraction: float, num_classes: int, rng: Rng) -> D
 def poison_update(update: ClientUpdate, spec: AttackSpec, rng: Rng) -> ClientUpdate:
     """Apply a model-poisoning transform to one client's delta.
 
-    label_flip acts on data, not updates, and is rejected here. Client id,
-    sample count, and reported loss pass through untouched.
+    label_flip acts on data, not updates, and is rejected here. Client id
+    and sample count pass through untouched.
     """
     if spec.kind == "label_flip":
         raise ValueError("label_flip poisons data, not updates")
@@ -72,5 +72,4 @@ def poison_update(update: ClientUpdate, spec: AttackSpec, rng: Rng) -> ClientUpd
         client=update.client,
         delta=ModelParams(poisoned, update.delta.shape),
         num_samples=update.num_samples,
-        local_loss=update.local_loss,
     )

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .aggregators import AGGREGATORS
-from .config import ConfigError, build_config
+from .config import ConfigError, build_config, load_config
 from .engine import EngineError, run, sweep, write_run_outputs
 
 EXIT_OK = 0
@@ -28,35 +28,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_raw_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def cmd_run(args) -> int:
     try:
-        raw = _load_raw_config(args.config)
+        config = load_config(args.config)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        return _fail(EXIT_CONFIG, f"config: invalid JSON: {e}")
     if args.seed is not None:
-        if not isinstance(raw, dict):
-            return _fail(EXIT_CONFIG, "config: expected a JSON object")
-        raw = dict(raw)
-        raw["seed"] = args.seed
-    try:
-        config = build_config(raw)
-    except ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    try:
-        start = time.monotonic()
-        result = run(config)
-        elapsed = time.monotonic() - start
-    except ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except (EngineError, FloatingPointError) as e:
-        return _fail(EXIT_RUNTIME, str(e))
+        config = build_config({**config.to_dict(), "seed": args.seed})
+    start = time.monotonic()
+    result = run(config)
+    elapsed = time.monotonic() - start
     try:
         write_run_outputs(args.out, config, result, elapsed)
         with open(os.path.join(args.out, "config.json"), "w") as fh:
@@ -80,21 +61,12 @@ def _parse_sweep_value(text: str):
 
 def cmd_sweep(args) -> int:
     try:
-        raw = _load_raw_config(args.config)
+        config = load_config(args.config)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot read config: {e}")
-    except json.JSONDecodeError as e:
-        return _fail(EXIT_CONFIG, f"config: invalid JSON: {e}")
     values = [_parse_sweep_value(v) for v in args.values.split(",") if v != ""]
-    if not values:
-        return _fail(EXIT_CONFIG, f"{args.param}: no sweep values given")
     try:
-        config = build_config(raw)
         sweep(config, args.param, values, out_dir=args.out)
-    except ConfigError as e:
-        return _fail(EXIT_CONFIG, str(e))
-    except (EngineError, FloatingPointError) as e:
-        return _fail(EXIT_RUNTIME, str(e))
     except OSError as e:
         return _fail(EXIT_IO, f"cannot write outputs: {e}")
     return EXIT_OK
@@ -134,7 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as e:
+        return _fail(EXIT_CONFIG, str(e))
+    except (EngineError, FloatingPointError) as e:
+        return _fail(EXIT_RUNTIME, str(e))
 
 
 if __name__ == "__main__":

@@ -212,6 +212,17 @@ def _build_aggregator(raw: dict, num_clients: int) -> AggregatorSpec:
     return AggregatorSpec(name=name, params=params)
 
 
+def eval_split_size(num_samples: int, eval_fraction: float, num_clients: int) -> int:
+    """Samples held out for evaluation; the rest must give every client one."""
+    n_eval = max(1, round(eval_fraction * num_samples))
+    if num_samples - n_eval < num_clients:
+        raise ConfigError(
+            "num_clients",
+            f"{num_samples - n_eval} training samples cannot cover {num_clients} clients",
+        )
+    return n_eval
+
+
 _TOP_KEYS = {
     "description", "seed", "rounds", "num_clients", "malicious", "dataset",
     "heterogeneity", "train", "aggregator", "reputation", "resource", "eval_fraction",
@@ -267,14 +278,8 @@ def build_config(raw: dict) -> SimConfig:
 
     eval_fraction = _get_real(d, "eval_fraction", "", default=0.2, exclusive_min=0.0, exclusive_max=1.0)
 
-    if dataset.type == "synthetic":
-        total = dataset.classes * dataset.samples_per_class
-        n_eval = max(1, round(eval_fraction * total))
-        if total - n_eval < num_clients:
-            raise ConfigError(
-                "num_clients",
-                f"{total - n_eval} training samples cannot cover {num_clients} clients",
-            )
+    if dataset.type == "synthetic":  # a csv's size is known once the engine loads it
+        eval_split_size(dataset.classes * dataset.samples_per_class, eval_fraction, num_clients)
 
     return SimConfig(
         description=description,

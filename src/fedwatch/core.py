@@ -64,10 +64,6 @@ class Rng:
             np.random.PCG64(mix64(self.seed, self.stream_id))
         )
 
-    def derive(self, stream_id: int) -> "Rng":
-        """Independent stream with the same master seed."""
-        return Rng(self.seed, stream_id)
-
     # Thin delegation to the underlying generator; every draw consumes
     # from this stream only.
     def random(self, size=None):
@@ -146,31 +142,6 @@ class ModelParams:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         return ModelParams(self.values + other.values, self.shape)
 
-    def __sub__(self, other: "ModelParams") -> "ModelParams":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return ModelParams(self.values - other.values, self.shape)
-
-
-def flatten_index(class_idx: int, feature_idx: int, shape: tuple[int, int]) -> int:
-    """Position of weight (class_idx, feature_idx) in the flat layout.
-
-    Bias of class k lives at num_classes * num_features + k.
-    """
-    c, f = shape
-    if not 0 <= class_idx < c:
-        raise ValueError(f"class index {class_idx} out of range for shape {shape}")
-    if not 0 <= feature_idx < f:
-        raise ValueError(f"feature index {feature_idx} out of range for shape {shape}")
-    return class_idx * f + feature_idx
-
-
-def l2_distance(a: ModelParams, b: ModelParams) -> float:
-    """Euclidean norm of the elementwise difference."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a.values - b.values))
-
 
 @dataclass(frozen=True, eq=False)
 class ClientUpdate:
@@ -182,12 +153,9 @@ class ClientUpdate:
     client: ClientId
     delta: ModelParams
     num_samples: int
-    local_loss: float
 
     def __post_init__(self):
         if self.client < 0:
             raise ValueError(f"negative client id {self.client}")
         if self.num_samples < 1:
             raise ValueError(f"num_samples must be >= 1, got {self.num_samples}")
-        if not np.isfinite(self.local_loss) or self.local_loss < 0:
-            raise ValueError(f"invalid local_loss {self.local_loss}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate
 from .attacks import flip_labels, poison_update
-from .config import ConfigError, SimConfig, build_config, set_by_path
+from .config import ConfigError, SimConfig, build_config, eval_split_size, set_by_path
 from .core import ClientId, ModelParams, Rng, substream
 from .datagen import ClientShard, Dataset, generate_synthetic, load_csv, partition
 from .trainer import TrainingDivergedError, evaluate, local_train
@@ -117,12 +117,7 @@ def _build_data(config: SimConfig) -> tuple[Dataset, Dataset]:
                 f"csv contains label {int(full.labels.max())} >= classes={ds.classes}",
             )
     n = full.num_samples
-    n_eval = max(1, round(config.eval_fraction * n))
-    if n - n_eval < config.num_clients:
-        raise ConfigError(
-            "num_clients",
-            f"{n - n_eval} training samples cannot cover {config.num_clients} clients",
-        )
+    n_eval = eval_split_size(n, config.eval_fraction, config.num_clients)
     perm = Rng(config.seed, substream(STREAM_SPLIT)).permutation(n)
     eval_idx = np.sort(perm[:n_eval])
     train_idx = np.sort(perm[n_eval:])

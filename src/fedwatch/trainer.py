@@ -38,37 +38,18 @@ def _eye(c: int) -> np.ndarray:
     return eye
 
 
-def predict_proba(params: ModelParams, x) -> np.ndarray:
-    """softmax(W x + b), computed with max-subtraction so it never overflows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != params.num_features:
-        raise ValueError(f"expected {params.num_features} features, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    logits = params.weights() @ x + params.biases()
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def _mean_loss(logp: np.ndarray, y: np.ndarray, w: np.ndarray, l2_reg: float) -> float:
-    """Mean cross-entropy of log-probabilities ``logp`` plus the ridge term.
-
-    ``add.reduce(...) / n`` is what ``ndarray.mean`` computes.
-    """
-    n = y.shape[0]
-    nll = -(np.add.reduce(logp[np.arange(n), y]) / n)
-    return float(nll + 0.5 * l2_reg * float(np.add.reduce(w * w, axis=None)))
-
-
 def _loss_grad_arrays(
     w: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, l2_reg: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy plus ridge term, with its exact gradient."""
+    """Mean cross-entropy plus ridge term, with its exact gradient.
+
+    ``add.reduce(...) / n`` is what ``ndarray.mean`` computes.
+    """
     n = x.shape[0]
     logits = x @ w.T + b
     logp = _log_softmax(logits)
-    loss = _mean_loss(logp, y, w, l2_reg)
+    nll = -(np.add.reduce(logp[np.arange(n), y]) / n)
+    loss = float(nll + 0.5 * l2_reg * float(np.add.reduce(w * w, axis=None)))
     g = np.exp(logp)
     g[np.arange(n), y] -= 1.0
     g /= n
@@ -149,16 +130,12 @@ def local_train(
                 row_sum(g, axis=0, out=grad_b)
                 grad *= lr
                 theta -= grad
-        if not np.isfinite(theta).all():
-            raise TrainingDivergedError(f"client {shard.client} diverged")
-        final_loss = _mean_loss(_log_softmax(data.features @ w_t + b), data.labels, w, l2)
-    if not np.isfinite(final_loss):
+    if not np.isfinite(theta).all():
         raise TrainingDivergedError(f"client {shard.client} diverged")
     return ClientUpdate(
         client=shard.client,
         delta=ModelParams(theta - start.values, start.shape),
         num_samples=n,
-        local_loss=final_loss,
     )
 
 

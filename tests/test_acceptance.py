@@ -60,7 +60,6 @@ def updates_from(rng, n, dim, weighted=True):
                 client=i,
                 delta=ModelParams(rng.standard_normal(dim + 1), (1, dim)),
                 num_samples=int(rng.integers(1, 6)) if weighted else 1,
-                local_loss=0.0,
             )
         )
     return out
@@ -142,7 +141,6 @@ def test_criterion_3_aggregator_oracles():
                 client=i,
                 delta=ModelParams(np.append(pts[i], 0.0), (1, 2)),
                 num_samples=int(w[i]),
-                local_loss=0.0,
             )
             for i in range(n)
         ]

@@ -39,7 +39,6 @@ def upd(client, values, num_samples=1, shape=None):
         client=client,
         delta=ModelParams(values, shape),
         num_samples=num_samples,
-        local_loss=0.0,
     )
 
 

@@ -10,12 +10,11 @@ from fedwatch.core import ClientUpdate, ModelParams, Rng
 from fedwatch.datagen import Dataset
 
 
-def make_update(values, shape=(1, 3), client=3, num_samples=5, local_loss=0.7):
+def make_update(values, shape=(1, 3), client=3, num_samples=5):
     return ClientUpdate(
         client=client,
         delta=ModelParams(np.asarray(values, dtype=float), shape),
         num_samples=num_samples,
-        local_loss=local_loss,
     )
 
 
@@ -89,12 +88,11 @@ class TestPoisonUpdate:
         assert np.array_equal(out.delta.values, upd.delta.values)
 
     def test_metadata_preserved(self):
-        upd = make_update([1.0, 2.0, 3.0, 4.0], client=11, num_samples=42, local_loss=1.25)
+        upd = make_update([1.0, 2.0, 3.0, 4.0], client=11, num_samples=42)
         for kind in ("sign_flip", "gaussian_noise", "scale"):
             out = poison_update(upd, AttackSpec(kind=kind, magnitude=0.5), Rng(1))
             assert out.client == 11
             assert out.num_samples == 42
-            assert out.local_loss == 1.25
             assert out.delta.shape == upd.delta.shape
 
     def test_label_flip_rejected_here(self):

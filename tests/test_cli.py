@@ -185,6 +185,72 @@ class TestSweepCommand:
         ).read_bytes()
 
 
+class TestConfigErrorPaths:
+    """Each failure of reading or validating a config exits with one line."""
+
+    def one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        return err
+
+    def sweep(self, config_path, out, values="1.0,2.0"):
+        return main([
+            "sweep", "--config", config_path,
+            "--param", "aggregator.params.sigma_k",
+            "--values", values,
+            "--out", str(out),
+        ])
+
+    def test_sweep_missing_config_exits_4(self, tmp_path, capsys):
+        assert self.sweep(str(tmp_path / "nope.json"), tmp_path / "s") == 4
+        assert "cannot read config" in self.one_error_line(capsys)
+
+    def test_sweep_malformed_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{oops")
+        assert self.sweep(str(path), tmp_path / "s") == 2
+        self.one_error_line(capsys)
+
+    def test_sweep_without_values_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, small_config(aggregator={"name": "sigma_pid"}))
+        assert self.sweep(cfg_path, tmp_path / "s", values=",") == 2
+        assert "no sweep values given" in self.one_error_line(capsys)
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("seed", [None, "7"])
+    def test_run_on_json_array_exits_2(self, tmp_path, capsys, seed):
+        cfg_path = write_config(tmp_path, [small_config()])
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--seed", seed] if seed else [])) == 2
+        self.one_error_line(capsys)
+
+    def test_run_seed_equal_to_file_seed_changes_nothing(self, tmp_path):
+        cfg_path = write_config(tmp_path, small_config())
+        plain = tmp_path / "plain"
+        seeded = tmp_path / "seeded"
+        assert main(["run", "--config", cfg_path, "--out", str(plain)]) == 0
+        assert main(["run", "--config", cfg_path, "--out", str(seeded), "--seed", "3"]) == 0
+        for name in ("metrics.csv", "config.json", "model.json"):
+            assert (plain / name).read_bytes() == (seeded / name).read_bytes()
+
+    @pytest.mark.parametrize("dataset", ["synthetic", "csv"])
+    def test_training_samples_must_cover_clients(self, tmp_path, capsys, dataset):
+        if dataset == "synthetic":
+            # 3 x 30 samples, round(0.2 * 90) = 18 held out: 72 training samples
+            cfg = small_config(num_clients=73)
+            expected = "error: num_clients: 72 training samples cannot cover 73 clients"
+        else:
+            path = tmp_path / "data.csv"
+            path.write_text("f0,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(10)))
+            cfg = small_config(num_clients=9, dataset={"type": "csv", "classes": 2, "csv_path": str(path)})
+            expected = "error: num_clients: 8 training samples cannot cover 9 clients"
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert self.one_error_line(capsys).strip() == expected
+        assert not out.exists()
+
+
 class TestListAggregators:
     def test_roster(self, capsys):
         assert main(["list-aggregators"]) == 0

@@ -162,6 +162,15 @@ class TestBounds:
                 )
             )
 
+    def test_training_samples_must_cover_clients(self):
+        # 2 x 10 samples, round(0.2 * 20) = 4 held out: 16 training samples
+        dataset = {"type": "synthetic", "classes": 2, "features": 2, "samples_per_class": 10}
+        assert build_config(cfg_dict(num_clients=16, dataset=dataset)).num_clients == 16
+        with pytest.raises(ConfigError) as exc:
+            build_config(cfg_dict(num_clients=17, dataset=dataset))
+        assert exc.value.path == "num_clients"
+        assert str(exc.value) == "num_clients: 16 training samples cannot cover 17 clients"
+
 
 class TestSetByPath:
     def test_replaces_scalar(self):

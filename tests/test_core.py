@@ -1,73 +1,11 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from fedwatch.core import ClientUpdate, ModelParams, Rng, flatten_index, l2_distance, mix64, substream
+from fedwatch.core import ClientUpdate, ModelParams, Rng, mix64, substream
 
 
 def mp(values, shape):
     return ModelParams(np.asarray(values, dtype=float), shape)
-
-
-class TestFlattenIndex:
-    def test_first_slot(self):
-        assert flatten_index(0, 0, (3, 4)) == 0
-
-    def test_layout_formula(self):
-        # class * num_features + feature
-        assert flatten_index(2, 3, (3, 4)) == 2 * 4 + 3
-        assert flatten_index(1, 0, (2, 5)) == 1 * 5 + 0
-
-    def test_bias_slot_location(self):
-        p = ModelParams.zeros((3, 4))
-        v = p.values.copy()
-        v[3 * 4 + 2] = 7.0
-        p2 = mp(v, (3, 4))
-        assert p2.biases()[2] == 7.0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            flatten_index(3, 0, (3, 4))
-        with pytest.raises(ValueError):
-            flatten_index(0, 4, (3, 4))
-        with pytest.raises(ValueError):
-            flatten_index(-1, 0, (3, 4))
-
-
-class TestL2Distance:
-    def test_3_4_5(self):
-        a = mp([0, 0, 0, 0, 0, 0], (2, 2))
-        b = mp([3, 4, 0, 0, 0, 0], (2, 2))
-        assert l2_distance(a, b) == 5.0
-
-    def test_identity(self):
-        a = mp([1.5, -2, 0.25, 3, 1, 2], (2, 2))
-        assert l2_distance(a, a) == 0.0
-
-    def test_hand_computed(self):
-        a = mp([1, 1, 1], (1, 2))
-        b = mp([2, 2, 2], (1, 2))
-        assert l2_distance(a, b) == pytest.approx(math.sqrt(3), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            l2_distance(ModelParams.zeros((2, 2)), ModelParams.zeros((2, 3)))
-
-    @settings(max_examples=200, derandomize=True)
-    @given(st.integers(0, 2**32))
-    def test_metric_properties(self, seed):
-        rng = Rng(seed)
-        shape = (2, 3)
-        a = mp(rng.standard_normal(8), shape)
-        b = mp(rng.standard_normal(8), shape)
-        c = mp(rng.standard_normal(8), shape)
-        dab = l2_distance(a, b)
-        assert dab >= 0.0
-        assert dab == pytest.approx(l2_distance(b, a), abs=0.0)
-        assert l2_distance(a, c) <= dab + l2_distance(b, c) + 1e-12
 
 
 class TestModelParams:
@@ -86,11 +24,17 @@ class TestModelParams:
         assert p.weights().tolist() == [[1, 2], [3, 4]]
         assert p.biases().tolist() == [5, 6]
 
+    def test_bias_slot_location(self):
+        p = ModelParams.zeros((3, 4))
+        v = p.values.copy()
+        v[3 * 4 + 2] = 7.0
+        p2 = mp(v, (3, 4))
+        assert p2.biases()[2] == 7.0
+
     def test_add_sub(self):
         a = mp([1, 2, 3, 4, 5, 6], (2, 2))
         b = mp([1, 1, 1, 1, 1, 1], (2, 2))
         assert (a + b).values.tolist() == [2, 3, 4, 5, 6, 7]
-        assert (a - b).values.tolist() == [0, 1, 2, 3, 4, 5]
         with pytest.raises(ValueError):
             a + ModelParams.zeros((3, 1))
 
@@ -98,13 +42,11 @@ class TestModelParams:
 class TestClientUpdate:
     def test_validates_fields(self):
         delta = ModelParams.zeros((2, 2))
-        ClientUpdate(client=0, delta=delta, num_samples=1, local_loss=0.0)
+        ClientUpdate(client=0, delta=delta, num_samples=1)
         with pytest.raises(ValueError):
-            ClientUpdate(client=0, delta=delta, num_samples=0, local_loss=0.0)
+            ClientUpdate(client=0, delta=delta, num_samples=0)
         with pytest.raises(ValueError):
-            ClientUpdate(client=0, delta=delta, num_samples=1, local_loss=-1.0)
-        with pytest.raises(ValueError):
-            ClientUpdate(client=-1, delta=delta, num_samples=1, local_loss=0.0)
+            ClientUpdate(client=-1, delta=delta, num_samples=1)
 
 
 class TestRng:
@@ -117,13 +59,6 @@ class TestRng:
         a = Rng(123456789, 7)
         b = Rng(123456789, 8)
         assert not np.array_equal(a.random(100), b.random(100))
-
-    def test_derive_uses_master_seed(self):
-        base = Rng(42, 0)
-        base.random(50)  # consuming draws must not affect derived streams
-        d1 = base.derive(3)
-        d2 = Rng(42, 3)
-        assert np.array_equal(d1.random(100), d2.random(100))
 
     def test_mix64_frozen_values(self):
         # Pinned so a platform or refactor change cannot slip by silently.

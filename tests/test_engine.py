@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedwatch.aggregators import AGGREGATORS
-from fedwatch.config import build_config
+from fedwatch.config import ConfigError, build_config
 from fedwatch.engine import EngineError, confusion_rates, metrics_to_csv, run, sweep
 
 
@@ -202,6 +202,17 @@ class TestRun:
 
         with pytest.raises(ConfigError, match="dataset.classes"):
             run(conf)
+
+    def test_csv_training_samples_must_cover_clients(self, tmp_path):
+        # 10 rows, round(0.2 * 10) = 2 held out: 8 training samples
+        path = tmp_path / "data.csv"
+        path.write_text("f0,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(10)))
+        dataset = {"type": "csv", "classes": 2, "csv_path": str(path)}
+        assert len(run(cfg(num_clients=8, rounds=1, dataset=dataset)).metrics) == 1
+        with pytest.raises(ConfigError) as exc:
+            run(cfg(num_clients=9, rounds=1, dataset=dataset))
+        assert exc.value.path == "num_clients"
+        assert str(exc.value) == "num_clients: 8 training samples cannot cover 9 clients"
 
     def test_pool_too_small_raises(self):
         conf = cfg(

@@ -45,7 +45,6 @@ def updates(n):
             client=i,
             delta=ModelParams(rng.standard_normal(4), (1, 3)),
             num_samples=1,
-            local_loss=0.0,
         )
         for i in range(n)
     ]

@@ -20,7 +20,6 @@ def upd(client, values, shape=(1, 1)):
         client=client,
         delta=ModelParams(np.asarray(values, dtype=float), shape),
         num_samples=1,
-        local_loss=0.0,
     )
 
 
