@@ -405,6 +405,26 @@ def sigma_pid(
 # --- registry ------------------------------------------------------------
 
 
+def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
+                  exclusive_max=None, choices=None) -> str | None:
+    """The first bound v breaks, as a message, or None when it keeps them all.
+
+    Each test is written as ``not v >= minimum`` rather than ``v < minimum``,
+    so NaN breaks every bound. ``choices`` bounds a string to a set.
+    """
+    if minimum is not None and not v >= minimum:
+        return f"must be >= {minimum}, got {v}"
+    if exclusive_min is not None and not v > exclusive_min:
+        return f"must be > {exclusive_min}, got {v}"
+    if maximum is not None and not v <= maximum:
+        return f"must be <= {maximum}, got {v}"
+    if exclusive_max is not None and not v < exclusive_max:
+        return f"must be < {exclusive_max}, got {v}"
+    if choices is not None and v not in choices:
+        return f"must be one of {sorted(choices)}, got {v!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Param:
     """One aggregator parameter; its type is the type of its default."""
@@ -439,11 +459,9 @@ class AggregatorEntry:
         """(blamed param, message) for the first bound or client minimum that
         params and n break, or None when the aggregator can run."""
         for p in self.params:
-            v = params[p.name]
-            if p.minimum is not None and not v >= p.minimum:
-                return p.name, f"must be >= {p.minimum}, got {v}"
-            if p.exclusive_min is not None and not v > p.exclusive_min:
-                return p.name, f"must be > {p.exclusive_min}, got {v}"
+            message = bound_problem(params[p.name], p.minimum, p.exclusive_min)
+            if message is not None:
+                return p.name, message
         for blamed, rule in self.minimums:
             if n < rule(params):
                 return blamed, f"{self.name} needs at least {rule(params)} clients, got {n}"

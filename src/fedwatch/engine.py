@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -110,7 +112,10 @@ def _build_data(config: SimConfig) -> tuple[Dataset, Dataset]:
             Rng(config.seed, substream(STREAM_DATA)),
         )
     else:
-        full = load_csv(ds.csv_path)
+        try:
+            full = load_csv(ds.csv_path)
+        except (OSError, ValueError) as e:
+            raise ConfigError("dataset.csv_path", str(e)) from None
         if int(full.labels.max()) >= ds.classes:
             raise ConfigError(
                 "dataset.classes",
@@ -223,13 +228,8 @@ def run(config: SimConfig) -> RunResult:
         indicators_log.append(compute_indicators(updates, params, reputation))
         decision, pid_state = aggregate(agg.name, agg.params, updates, pid_state)
         if diverged:
-            decision = AggregationDecision(
-                included=decision.included,
-                excluded=tuple(sorted(set(decision.excluded) | set(diverged))),
-                delta=decision.delta,
-                overhead_ops=decision.overhead_ops,
-                info=decision.info,
-            )
+            excluded = tuple(sorted(set(decision.excluded) | set(diverged)))
+            decision = replace(decision, excluded=excluded)
         decisions.append(decision)
 
         # The one and only mutation of the global model.
@@ -294,43 +294,35 @@ def run(config: SimConfig) -> RunResult:
 
 # --- persistence ---------------------------------------------------------
 
-CSV_COLUMNS = (
-    "round", "global_loss", "global_accuracy", "tp", "fp", "tn", "fn",
-    "excl_accuracy", "excl_precision", "excl_recall", "excluded_ids",
-    "non_participants", "cost", "overhead", "objective",
-)
-
 
 def _fmt(v: float) -> str:
     """Reals printed with 9 significant digits, '.' decimal separator."""
     return format(float(v), ".9g")
 
 
-def metrics_to_csv(metrics: list[RoundMetrics]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for m in metrics:
-        lines.append(
-            ",".join(
-                [
-                    str(m.round),
-                    _fmt(m.global_loss),
-                    _fmt(m.global_accuracy),
-                    str(m.tp),
-                    str(m.fp),
-                    str(m.tn),
-                    str(m.fn),
-                    _fmt(m.excl_accuracy),
-                    _fmt(m.excl_precision),
-                    _fmt(m.excl_recall),
-                    ";".join(str(c) for c in m.excluded_ids),
-                    ";".join(str(c) for c in m.non_participants),
-                    _fmt(m.cost),
-                    _fmt(m.overhead),
-                    _fmt(m.objective),
-                ]
-            )
-        )
+def _ids(ids: tuple[ClientId, ...]) -> str:
+    return ";".join(str(c) for c in ids)
+
+
+def _columns(row_type) -> tuple[tuple[str, Callable], ...]:
+    """(name, cell formatter) per field of a row dataclass, by declared type:
+    reals as _fmt, id tuples joined by ';', anything else as str."""
+    hints = get_type_hints(row_type)
+    cell = {float: _fmt, tuple[ClientId, ...]: _ids}
+    return tuple((f.name, cell.get(hints[f.name], str)) for f in fields(row_type))
+
+
+def _to_csv(columns, rows) -> str:
+    lines = [",".join(name for name, _ in columns)]
+    lines.extend(",".join(fmt(getattr(r, name)) for name, fmt in columns) for r in rows)
     return "\n".join(lines) + "\n"
+
+
+_METRICS_COLUMNS = _columns(RoundMetrics)
+
+
+def metrics_to_csv(metrics: list[RoundMetrics]) -> str:
+    return _to_csv(_METRICS_COLUMNS, metrics)
 
 
 def summarize(config: SimConfig, result: RunResult, wall_time: float) -> dict:
@@ -380,22 +372,11 @@ class SweepRow:
     total_objective: float
 
 
+_SWEEP_COLUMNS = _columns(SweepRow)
+
+
 def sweep_summary_csv(rows: list[SweepRow]) -> str:
-    lines = ["value,final_loss,final_accuracy,mean_excl_precision,mean_excl_recall,total_objective"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.value),
-                    _fmt(r.final_loss),
-                    _fmt(r.final_accuracy),
-                    _fmt(r.mean_excl_precision),
-                    _fmt(r.mean_excl_recall),
-                    _fmt(r.total_objective),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _to_csv(_SWEEP_COLUMNS, rows)
 
 
 def sweep(
@@ -419,16 +400,7 @@ def sweep(
         if out_dir is not None:
             write_run_outputs(os.path.join(out_dir, str(value)), cfg, result, elapsed)
         s = summarize(cfg, result, elapsed)
-        rows.append(
-            SweepRow(
-                value=value,
-                final_loss=s["final_loss"],
-                final_accuracy=s["final_accuracy"],
-                mean_excl_precision=s["mean_excl_precision"],
-                mean_excl_recall=s["mean_excl_recall"],
-                total_objective=s["total_objective"],
-            )
-        )
+        rows.append(SweepRow(value, *(s[name] for name, _ in _SWEEP_COLUMNS[1:])))
     if out_dir is not None:
         with open(os.path.join(out_dir, "sweep_summary.csv"), "w") as fh:
             fh.write(sweep_summary_csv(rows))

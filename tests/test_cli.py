@@ -202,6 +202,11 @@ class TestConfigErrorPaths:
             "--out", str(out),
         ])
 
+    def command(self, command, config_path, out):
+        if command == "run":
+            return main(["run", "--config", config_path, "--out", str(out)])
+        return self.sweep(config_path, out)
+
     def test_sweep_missing_config_exits_4(self, tmp_path, capsys):
         assert self.sweep(str(tmp_path / "nope.json"), tmp_path / "s") == 4
         assert "cannot read config" in self.one_error_line(capsys)
@@ -248,6 +253,38 @@ class TestConfigErrorPaths:
         out = tmp_path / "out"
         assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert self.one_error_line(capsys).strip() == expected
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_nan_eval_fraction_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.json"
+        path.write_text('{"aggregator": {"name": "sigma_pid"}, "eval_fraction": NaN}')
+        out = tmp_path / "out"
+        assert self.command(command, str(path), out) == 2
+        assert self.one_error_line(capsys).startswith("error: eval_fraction: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"description": "\xff", "aggregator": {"name": "sigma_pid"}}')
+        out = tmp_path / "out"
+        assert self.command(command, str(path), out) == 2
+        assert self.one_error_line(capsys).startswith("error: invalid JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("contents", [None, "f0,label\n1.0,0\nabc,1\n"])
+    def test_unreadable_csv_dataset_exits_2(self, tmp_path, capsys, command, contents):
+        data = tmp_path / "data.csv"
+        if contents is not None:
+            data.write_text(contents)
+        dataset = {"type": "csv", "classes": 2, "csv_path": str(data)}
+        cfg = small_config(aggregator={"name": "sigma_pid"}, dataset=dataset)
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert self.command(command, cfg_path, out) == 2
+        assert self.one_error_line(capsys).startswith("error: dataset.csv_path: ")
         assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import pytest
 
-from fedwatch.config import ConfigError, build_config, load_config, set_by_path
+from fedwatch.config import RULES, ConfigError, SimConfig, build_config, load_config, set_by_path
 
 MINIMAL = {"aggregator": {"name": "fedavg"}}
 
@@ -232,3 +234,42 @@ def test_csv_effective_dict_keeps_only_csv_fields():
     assert echo["dataset"] == {"type": "csv", "classes": 3, "csv_path": "x.csv"}
     assert echo["malicious"]["targets"] == []
     assert build_config(echo).to_dict() == echo
+
+
+# Every real field with a bound, written out apart from config.RULES.
+BOUNDED_REAL_FIELDS = [
+    "eval_fraction",
+    "malicious.fraction",
+    "dataset.cluster_spread",
+    "heterogeneity.dirichlet_alpha",
+    "train.learning_rate",
+    "train.l2_reg",
+    "reputation.decay_lambda",
+    "reputation.participation_threshold",
+    "resource.alpha",
+    "resource.beta",
+]
+
+
+@pytest.mark.parametrize("path", BOUNDED_REAL_FIELDS)
+def test_nan_breaks_every_bound(path):
+    raw = cfg_dict()
+    node = raw
+    *sections, leaf = path.split(".")
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[leaf] = float("nan")
+    with pytest.raises(ConfigError) as e:
+        build_config(raw)
+    assert e.value.path == path
+    assert e.value.message.endswith("got nan")
+
+
+def test_every_rule_names_a_config_field():
+    # A misspelt key would drop its bound without a word.
+    for path in RULES:
+        cls = SimConfig
+        *sections, leaf = path.split(".")
+        for name in sections:
+            cls = get_type_hints(cls)[name]
+        assert leaf in {f.name for f in fields(cls)}, path
