@@ -41,6 +41,11 @@ def golden_hashes():
             raw = {**base, "seed": seed, "aggregator": {"name": name, "params": params}}
             csv = metrics_to_csv(run(build_config(raw)).metrics).encode()
             yield f"{name}/{seed}", hashlib.sha256(csv).hexdigest()
+    yield from workload_hashes()
+
+
+def workload_hashes():
+    """Yield ``(label, sha256 hex)`` per workload and reference seed."""
     workloads = _module(ROOT / "benchmark" / "workloads.py").load_workloads()
     for workload in workloads.values():
         for seed in workload.reference_seeds:

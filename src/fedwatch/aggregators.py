@@ -410,7 +410,8 @@ def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
     """The first bound v breaks, as a message, or None when it keeps them all.
 
     Each test is written as ``not v >= minimum`` rather than ``v < minimum``,
-    so NaN breaks every bound. ``choices`` bounds a string to a set.
+    so NaN breaks every bound. ``choices`` bounds a string to a set. A float
+    that keeps them all must still be finite.
     """
     if minimum is not None and not v >= minimum:
         return f"must be >= {minimum}, got {v}"
@@ -422,6 +423,8 @@ def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
         return f"must be < {exclusive_max}, got {v}"
     if choices is not None and v not in choices:
         return f"must be one of {sorted(choices)}, got {v!r}"
+    if isinstance(v, float) and not math.isfinite(v):
+        return f"must be finite, got {v}"
     return None
 
 

@@ -127,7 +127,10 @@ def _read(v, path: str, kind: type):
     if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
         raise ConfigError(path, f"expected {_EXPECTED[kind]}, got {v!r}")
     if kind is float:
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            raise ConfigError(path, "must be finite, got an integer beyond float range") from None
     problem = bound_problem(v, **RULES.get(path, {}))
     if problem is not None:
         raise ConfigError(path, problem)

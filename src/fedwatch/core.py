@@ -9,7 +9,9 @@ scheduling order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,6 +50,91 @@ def substream(purpose: int, a: int = 0, b: int = 0) -> int:
     return (purpose << 48) | (a << 24) | b
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), for an entropy
+# of at most two 32-bit words, no spawn key and the default pool of 4 words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per call of the hash: the constant it xors in and the one it then
+    multiplies by, which is the xor constant times mult."""
+    xors, mults = [], []
+    h = init
+    for _ in range(calls):
+        xors.append(h)
+        h = (h * mult) & _MASK32
+        mults.append(h)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+# (xor, mult) columns of the 16 pool-mixing and the 8 output hash calls.
+_POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16)
+_OUTPUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+@cache
+def _preset_words_type() -> type:
+    """A SeedSequence stand-in that hands PCG64 precomputed words.
+
+    Defined on first use: numpy.random is imported here and not at module
+    level, because loading a config never needs it.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetWords(ISeedSequence):
+        """The four uint64 words SeedSequence.generate_state(4, np.uint64)
+        would return; PCG64 seeds from nothing else."""
+
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"preset seed holds 4 uint64 words, not {n_words} {dtype}")
+            return self.words
+
+    return PresetWords
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ (v >> 16)
+
+
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each uint64 e,
+    as one (len(entropy), 4) uint64 array.
+
+    SeedSequence reads e as 32-bit words, least significant first, and pads
+    its pool with hashes of zero; a high word of 0 hashes the same as that
+    padding, so every e is taken as two words. Each hash call's constants
+    are the same for every e, so the pool is a (4, k) uint32 array and all
+    arithmetic wraps in uint32 array ops.
+    """
+    (xa, ma), (xb, mb) = _POOL_HASH, _OUTPUT_HASH
+    e = np.asarray(entropy, dtype=np.uint64)
+    pool = np.zeros((4, e.size), np.uint32)
+    pool[0] = e & _MASK32
+    pool[1] = e >> 32
+    pool = _hashmix(pool, xa[:4], ma[:4])
+    # Each word, hashed with the next three constants, is mixed into the
+    # other three words in turn.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        call = 4 + 3 * src
+        h = _hashmix(pool[src], xa[call : call + 3], ma[call : call + 3])
+        mixed = pool[dst] * _MIX_MULT_L - h * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xb, mb).astype(np.uint64)
+    # Output words pair up little-endian: word 2i is the low half of uint64 i.
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
+
+
 class Rng:
     """Deterministic random stream: (seed, stream_id) fixes every draw.
 
@@ -63,6 +150,30 @@ class Rng:
         self._gen = np.random.Generator(
             np.random.PCG64(mix64(self.seed, self.stream_id))
         )
+
+    @classmethod
+    def streams(cls, seed: int, stream_ids: Iterable[int]) -> Iterator["Rng"]:
+        """``Rng(seed, s)`` for each s, in order, each in exactly the state
+        that constructor gives.
+
+        The SeedSequence hash runs once over all ids (see
+        :func:`_seed_sequence_words`); each generator is built only when the
+        iterator reaches it. Pays off from about 8 streams on.
+        """
+        seed = int(seed) & _MASK64
+        ids = [int(s) for s in stream_ids]
+        if not ids:  # spare the hash's fixed cost
+            return iter(())
+        words = _seed_sequence_words(np.array([mix64(seed, s) for s in ids], dtype=np.uint64))
+        return (cls._from_words(seed, s, w) for s, w in zip(ids, words))
+
+    @classmethod
+    def _from_words(cls, seed: int, stream_id: int, words: np.ndarray) -> "Rng":
+        rng = cls.__new__(cls)
+        rng.seed = seed
+        rng.stream_id = stream_id
+        rng._gen = np.random.Generator(np.random.PCG64(_preset_words_type()(words)))
+        return rng
 
     # Thin delegation to the underlying generator; every draw consumes
     # from this stream only.

@@ -10,6 +10,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections.abc import Callable
@@ -193,19 +194,24 @@ def run(config: SimConfig) -> RunResult:
         participant_set = set(participants)
         non_participants = tuple(c for c in all_clients if c not in participant_set)
 
+        # One Rng.streams call per purpose seeds the round's streams; each is
+        # in the state Rng(seed, substream(purpose, t, cid)) would give.
+        attackers = [c for c in participants if c in malicious] if model_attack else []
+        poison_ids = [substream(STREAM_POISON, t, c) for c in attackers]
+        poison_rngs = dict(zip(attackers, Rng.streams(config.seed, poison_ids)))
+        train_ids = [substream(STREAM_TRAIN, t, c) for c in participants]
+        train_rngs = Rng.streams(config.seed, train_ids)
         updates = []
         diverged: list[ClientId] = []
-        for cid in participants:
-            rng_train = Rng(config.seed, substream(STREAM_TRAIN, t, cid))
+        for cid, rng_train in zip(participants, train_rngs):
             try:
                 upd = local_train(params, shard_by_id[cid], config.train, rng_train)
             except TrainingDivergedError:
                 diverged.append(cid)
                 continue
-            if model_attack and cid in malicious:
-                rng_poison = Rng(config.seed, substream(STREAM_POISON, t, cid))
+            if cid in poison_rngs:
                 try:
-                    upd = poison_update(upd, config.malicious, rng_poison)
+                    upd = poison_update(upd, config.malicious, poison_rngs[cid])
                 except ValueError:
                     # Hostile numerics: treat a non-finite poisoned update
                     # like a diverged client.
@@ -213,7 +219,7 @@ def run(config: SimConfig) -> RunResult:
                     continue
             with np.errstate(over="ignore"):
                 sq_norm = float(np.dot(upd.delta.values, upd.delta.values))
-            if not np.isfinite(sq_norm):
+            if not math.isfinite(sq_norm):
                 # Finite values can still overflow distance arithmetic;
                 # such updates are unusable for any aggregator.
                 diverged.append(cid)

@@ -265,6 +265,25 @@ class TestConfigErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ({"aggregator": {"name": "sigma_pid", "params": {"kp": float("nan")}}}, "aggregator.params.kp"),
+            ({"train": {"learning_rate": 10**400}}, "train.learning_rate"),
+            ({"heterogeneity": {"dirichlet_alpha": float("inf")}}, "heterogeneity.dirichlet_alpha"),
+            ({"dataset": {"cluster_spread": float("inf")}}, "dataset.cluster_spread"),
+            ({"resource": {"beta": float("inf")}}, "resource.beta"),
+        ],
+    )
+    def test_non_finite_real_exits_2(self, tmp_path, capsys, command, override, path):
+        # json writes these as NaN, Infinity and a 401-digit integer
+        cfg = small_config(**{"aggregator": {"name": "sigma_pid"}, **override})
+        out = tmp_path / "out"
+        assert self.command(command, write_config(tmp_path, cfg), out) == 2
+        assert self.one_error_line(capsys).startswith(f"error: {path}: must be finite, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_undecodable_config_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"description": "\xff", "aggregator": {"name": "sigma_pid"}}')

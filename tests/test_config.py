@@ -1,9 +1,10 @@
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
 import pytest
 
+from fedwatch.aggregators import AGGREGATORS
 from fedwatch.config import RULES, ConfigError, SimConfig, build_config, load_config, set_by_path
 
 MINIMAL = {"aggregator": {"name": "fedavg"}}
@@ -273,3 +274,59 @@ def test_every_rule_names_a_config_field():
         for name in sections:
             cls = get_type_hints(cls)[name]
         assert leaf in {f.name for f in fields(cls)}, path
+
+
+def _real_field_paths(cls, prefix=""):
+    """Dotted path of every float field in cls and its section dataclasses."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _real_field_paths(hints[f.name], prefix + f.name + ".")
+        elif hints[f.name] is float:
+            yield prefix + f.name
+
+
+REAL_FIELDS = list(_real_field_paths(SimConfig))
+REAL_PARAMS = [
+    (name, p.name) for name, entry in AGGREGATORS.items() for p in entry.params
+    if isinstance(p.default, float)
+]
+NON_FINITE = [float("inf"), float("-inf"), float("nan"), 10**400]
+
+
+def test_real_field_lists_are_complete():
+    assert set(BOUNDED_REAL_FIELDS) < set(REAL_FIELDS)
+    assert "malicious.magnitude" in REAL_FIELDS
+    assert ("sigma_pid", "kp") in REAL_PARAMS and ("geomedian", "weiszfeld_tol") in REAL_PARAMS
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("path", REAL_FIELDS)
+def test_non_finite_real_field_is_rejected_at_its_path(path, value):
+    raw = cfg_dict()
+    node = raw
+    *sections, leaf = path.split(".")
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[leaf] = value
+    with pytest.raises(ConfigError) as e:
+        build_config(raw)
+    assert e.value.path == path
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("name, param", REAL_PARAMS)
+def test_non_finite_real_param_is_rejected_at_its_path(name, param, value):
+    raw = cfg_dict(aggregator={"name": name, "params": {param: value}})
+    with pytest.raises(ConfigError) as e:
+        build_config(raw)
+    assert e.value.path == "aggregator.params." + param
+
+
+def test_infinity_within_its_bounds_must_still_be_finite():
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(train={"learning_rate": float("inf")}))
+    assert e.value.message == "must be finite, got inf"
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(train={"learning_rate": 10**400}))
+    assert e.value.message == "must be finite, got an integer beyond float range"

@@ -1,7 +1,24 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fedwatch.core import ClientUpdate, ModelParams, Rng, mix64, substream
+from fedwatch.core import (
+    ClientUpdate,
+    ModelParams,
+    Rng,
+    _preset_words_type,
+    _seed_sequence_words,
+    mix64,
+    substream,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def mp(values, shape):
@@ -75,3 +92,66 @@ class TestRng:
             substream(1, 1 << 24, 0)
         with pytest.raises(ValueError):
             substream(1, 0, -1)
+
+
+# Stream ids as the engine builds them: a narrow range, where lists repeat
+# ids, mixed with the full 64-bit range.
+stream_id_lists = st.lists(
+    st.one_of(
+        st.builds(substream, st.integers(5, 6), st.integers(0, 2), st.integers(0, 2)),
+        st.builds(
+            substream,
+            st.integers(0, (1 << 16) - 1),
+            st.integers(0, (1 << 24) - 1),
+            st.integers(0, (1 << 24) - 1),
+        ),
+    ),
+    max_size=300,
+)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("entropy", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_hash_matches_seed_sequence(self, entropy):
+        # Below 2**32 SeedSequence reads a single 32-bit word.
+        words = _seed_sequence_words(np.array([entropy], dtype=np.uint64))
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words.shape == (1, 4)
+        assert np.array_equal(words[0], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), stream_id_lists)
+    @example(0, [])
+    @example(2**64 - 1, [substream(5, 7, 3)])
+    @example(12345, [substream(6, 0, 1)] * 3)
+    @example(7, [substream(5, t, c) for t in (0, 1) for c in range(150)])
+    def test_every_stream_starts_where_rng_does(self, seed, ids):
+        streams = list(Rng.streams(seed, ids))
+        assert len(streams) == len(ids)
+        for got, stream_id in zip(streams, ids):
+            want = Rng(seed, stream_id)
+            assert (got.seed, got.stream_id) == (want.seed, want.stream_id)
+            assert got._gen.bit_generator.state == want._gen.bit_generator.state
+            assert np.array_equal(got.permutation(17), want.permutation(17))
+            assert np.array_equal(got.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
+
+    def test_preset_words_serve_only_pcg64s_request(self):
+        preset = _preset_words_type()(np.zeros(4, dtype=np.uint64))
+        assert preset.generate_state(4, np.uint64).dtype == np.uint64
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            with pytest.raises(ValueError):
+                preset.generate_state(n_words, dtype)
+
+    def test_loading_a_config_does_not_import_numpy_random(self):
+        # Set-up time is measured on exactly this; numpy.random loads on the
+        # first Rng instead.
+        code = (
+            "import sys, fedwatch; fedwatch.load_config('configs/default.json'); "
+            "print('numpy.random' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -38,6 +38,24 @@ GOLDEN_METRICS_CSV = {
     "sigma_pid/3": "e1bd5b1e5a675e5bd41d08f039767d61e9e395c95739a1cbfaba5da2b2d17e1b",
 }
 
+# sha256 of metrics.csv followed by the final_params bytes, per benchmark
+# workload and reference seed, as scripts/golden_hashes.py prints them. Only
+# sigma_noise_iid draws from the model-poisoning streams.
+WORKLOAD_DIGESTS = {
+    "paper_labelflip/1": "b7759b38fed99162b1ffecaae472f78d899542ae0e05d948ef70ca31405c0536",
+    "paper_labelflip/2": "ad1ca73acc92ea920b5bcfbdd3c07a44a42bba2f27ae6f0731d2aab1179ffecb",
+    "paper_labelflip/3": "4a43c14f62626287ac7e73fab24a33aa1ecd525c00326800a7aada77d051e2a6",
+    "paper_labelflip/4": "1c2ee7c943c46f424b5f4b9b259e16ac66d9001c4ddd0c2545d82865c4587472",
+    "paper_labelflip/5": "29cb14b5539df70708864f8926a9b7818082d7edfe98cf7743ae7564552e31ec",
+    "paper_labelflip/6": "d7e3784aa123e66d03d0dcfcc5f855bd7b0208a06a42f2b0a185651f8bf85cc2",
+    "paper_labelflip/7": "23ed70536c1300d48f4eb64d73968a6eaf7aa61e880518b7160bd27d54796893",
+    "paper_labelflip/8": "71a144001a7f71f9d6b6ed21d4aea9edd8fa13d752193c26b49c29f8f0e4da6d",
+    "bulyan_scale/1": "cdca9c42096a26ebcb6f44e14d8f41907d2ca770e5b87dd5c397403cee9bc763",
+    "sigma_noise_iid/1": "2569a82dc8c2a1e6b3745379027cbbac5517e7698b400fedb9f08c9d33379b98",
+    "sigma_noise_iid/2": "d8d425433aa6c05fa5d5ad63d54f211a2ae549d817212a2c748ec830aa3a052c",
+    "sigma_noise_iid/3": "ff855133a7576dd0127ed8b0df15ed804b3c551c34c2a6dac7639cd9292d2be3",
+}
+
 
 def load_script():
     spec = importlib.util.spec_from_file_location("golden_hashes", SCRIPT)
@@ -59,3 +77,7 @@ def test_first_entry_is_fedavg_seed_1_metrics_csv():
 def test_golden_metrics_csv_digests_are_unchanged():
     golden = itertools.islice(load_script().golden_hashes(), len(GOLDEN_METRICS_CSV))
     assert dict(golden) == GOLDEN_METRICS_CSV
+
+
+def test_workload_reference_seed_digests_are_unchanged():
+    assert dict(load_script().workload_hashes()) == WORKLOAD_DIGESTS
