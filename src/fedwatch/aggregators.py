@@ -49,25 +49,62 @@ class PidState:
     integral: np.ndarray | None = None
 
 
-def _canonical(updates) -> list[ClientUpdate]:
-    updates = list(updates)
-    if not updates:
+def stack_updates(updates) -> tuple[list[ClientUpdate], list[ClientId], np.ndarray, np.ndarray]:
+    """The updates sorted by client id, their ids, their deltas stacked as
+    rows and their sample counts as floats.
+
+    Raises ValueError for no updates, then for duplicate ids, then for
+    deltas of different shapes.
+    """
+    ups = sorted(updates, key=lambda u: u.client)
+    if not ups:
         raise ValueError("no updates to aggregate")
-    ids = [u.client for u in updates]
+    ids = [u.client for u in ups]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client ids")
-    shape = updates[0].delta.shape
-    for u in updates:
-        if u.delta.shape != shape:
-            raise ValueError("mismatched delta shapes")
-    return sorted(updates, key=lambda u: u.client)
+    shape = ups[0].delta.shape
+    if any(u.delta.shape != shape for u in ups):
+        raise ValueError("mismatched delta shapes")
+    mat = np.stack([u.delta.values for u in ups])
+    weights = np.asarray([float(u.num_samples) for u in ups])
+    return ups, ids, mat, weights
 
 
-def _stack(updates: list[ClientUpdate]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    ids = [u.client for u in updates]
-    mat = np.stack([u.delta.values for u in updates])
-    weights = np.asarray([float(u.num_samples) for u in updates])
-    return ids, mat, weights
+def _checked(name: str, updates, cast: Callable | None = None, **params) -> tuple:
+    """Every aggregator's entry: stack_updates(updates), then a ValueError
+    unless the update count and params, each passed through ``cast`` first
+    when given, meet the named aggregator's registry entry.
+
+    Returns (ups, ids, mat, weights) followed by the params' values in order.
+    """
+    stacked = stack_updates(updates)
+    if cast is not None:
+        params = {k: cast(v) for k, v in params.items()}
+    problem = AGGREGATORS[name].problem(len(stacked[0]), params)
+    if problem is not None:
+        blamed, message = problem
+        raise ValueError(f"{name}.{blamed}: {message}" if blamed else message)
+    return (*stacked, *params.values())
+
+
+def _decision(ups: list[ClientUpdate], keep, delta, overhead_ops: int,
+              info: dict | None = None) -> AggregationDecision:
+    """The decision that includes rows ``keep`` (ascending; None keeps all)
+    of the id-sorted updates ``ups`` and excludes the rest.
+
+    A delta given as an array takes the updates' shape; a ModelParams is
+    kept as it is.
+    """
+    kept = range(len(ups)) if keep is None else set(keep)
+    if not isinstance(delta, ModelParams):
+        delta = ModelParams(delta, ups[0].delta.shape)
+    return AggregationDecision(
+        included=tuple(u.client for i, u in enumerate(ups) if i in kept),
+        excluded=tuple(u.client for i, u in enumerate(ups) if i not in kept),
+        delta=delta,
+        overhead_ops=overhead_ops,
+        info={} if info is None else info,
+    )
 
 
 def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -92,15 +129,8 @@ def fedavg(updates) -> AggregationDecision:
 
     overhead_ops = n (one scale-add per update).
     """
-    ups = _canonical(updates)
-    ids, mat, weights = _stack(ups)
-    delta = _weighted_mean(mat, weights)
-    return AggregationDecision(
-        included=tuple(ids),
-        excluded=(),
-        delta=ModelParams(delta, ups[0].delta.shape),
-        overhead_ops=len(ups),
-    )
+    ups, _, mat, weights = _checked("fedavg", updates)
+    return _decision(ups, None, _weighted_mean(mat, weights), len(ups))
 
 
 def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
@@ -114,11 +144,8 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
 
     Requires n > 2 * trim_beta.
     """
-    ups = _canonical(updates)
+    ups, ids, mat, _, beta = _checked("trimmed_mean", updates, int, trim_beta=trim_beta)
     n = len(ups)
-    beta = int(trim_beta)
-    _check("trimmed_mean", n, {"trim_beta": beta})
-    ids, mat, _ = _stack(ups)
     order = np.argsort(mat, axis=0, kind="stable")
     sorted_mat = np.take_along_axis(mat, order, axis=0)
     delta = sorted_mat[beta : n - beta].mean(axis=0)
@@ -128,17 +155,10 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
     if beta > 0:
         trimmed_rows = np.concatenate([order[:beta], order[n - beta :]]).ravel()
         np.add.at(trimmed_counts, trimmed_rows, 1)
-    excluded_mask = trimmed_counts > dim / 2.0
-    included = tuple(ids[i] for i in range(n) if not excluded_mask[i])
-    excluded = tuple(ids[i] for i in range(n) if excluded_mask[i])
+    keep = np.flatnonzero(trimmed_counts <= dim / 2.0)
     ops = n * max(1, math.ceil(math.log2(n))) + 1
-    return AggregationDecision(
-        included=included,
-        excluded=excluded,
-        delta=ModelParams(delta, ups[0].delta.shape),
-        overhead_ops=ops,
-        info={"trim_fraction": {ids[i]: trimmed_counts[i] / dim for i in range(n)}},
-    )
+    info = {"trim_fraction": {ids[i]: trimmed_counts[i] / dim for i in range(n)}}
+    return _decision(ups, keep, delta, ops, info)
 
 
 def _pairwise_sq_dists(mat: np.ndarray) -> np.ndarray:
@@ -179,20 +199,12 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     nearest other deltas; the minimum-score client wins, ties to the lowest
     id. Requires n >= 2f+3. overhead_ops = n(n-1)/2 + 1.
     """
-    ups = _canonical(updates)
+    ups, ids, mat, _, f = _checked("krum", updates, int, byzantine_f=byzantine_f)
     n = len(ups)
-    f = int(byzantine_f)
-    _check("krum", n, {"byzantine_f": f})
-    ids, mat, _ = _stack(ups)
     scores = _scores_for(mat, f)
     best = min(range(n), key=lambda i: (scores[i], ids[i]))
-    return AggregationDecision(
-        included=(ids[best],),
-        excluded=tuple(ids[i] for i in range(n) if i != best),
-        delta=ups[best].delta,
-        overhead_ops=n * (n - 1) // 2 + 1,
-        info={"scores": {ids[i]: float(scores[i]) for i in range(n)}},
-    )
+    info = {"scores": {ids[i]: float(scores[i]) for i in range(n)}}
+    return _decision(ups, [best], ups[best].delta, n * (n - 1) // 2 + 1, info)
 
 
 def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecision:
@@ -201,32 +213,25 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     Ties are broken by lowest id. Requires n >= 2f+3 and 1 <= m <= n-f.
     overhead_ops = n(n-1)/2 + m.
     """
-    ups = _canonical(updates)
+    ups, ids, mat, weights, f, m = _checked(
+        "multi_krum", updates, int, byzantine_f=byzantine_f, multi_krum_m=multi_krum_m
+    )
     n = len(ups)
-    f = int(byzantine_f)
-    m = int(multi_krum_m)
-    _check("multi_krum", n, {"byzantine_f": f, "multi_krum_m": m})
-    ids, mat, weights = _stack(ups)
     scores = _scores_for(mat, f)
     ranked = sorted(range(n), key=lambda i: (scores[i], ids[i]))
     chosen = sorted(ranked[:m])
     delta = _weighted_mean(mat[chosen], weights[chosen])
-    return AggregationDecision(
-        included=tuple(ids[i] for i in chosen),
-        excluded=tuple(ids[i] for i in sorted(ranked[m:])),
-        delta=ModelParams(delta, ups[0].delta.shape),
-        overhead_ops=n * (n - 1) // 2 + m,
-        info={"scores": {ids[i]: float(scores[i]) for i in range(n)}},
-    )
+    info = {"scores": {ids[i]: float(scores[i]) for i in range(n)}}
+    return _decision(ups, chosen, delta, n * (n - 1) // 2 + m, info)
 
 
-def _iterated_krum(sq: np.ndarray, f: int) -> tuple[list[int], np.ndarray]:
+def _iterated_krum(sq: np.ndarray, f: int) -> list[int]:
     """Bulyan's selection over the squared-distance matrix ``sq`` (consumed).
 
     Picks n-2f rows one at a time: with m rows left, each live row scores
     the sum of its k+1 smallest distances to live rows (k = max(m-f-2, 0),
     its own 0.0 included), the lowest score wins and ties go to the lowest
-    row. Returns the picks in pick order and the rows never picked.
+    row. Returns the picks in pick order.
 
     ``sq`` is symmetric, so sorting it in place along axis 0 turns each
     row's sorted distances into a column: cols[j, r] is row r's j-th
@@ -268,7 +273,7 @@ def _iterated_krum(sq: np.ndarray, f: int) -> tuple[list[int], np.ndarray]:
                 break
             e -= dead
         end[r] = e
-    return picks, rows
+    return picks
 
 
 def bulyan(updates, byzantine_f: int) -> AggregationDecision:
@@ -283,13 +288,10 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     first, starting from 0.0. Requires n >= 4f+3.
     overhead_ops = n(n-1)/2 + 2|S|.
     """
-    ups = _canonical(updates)
+    ups, _, mat, _, f = _checked("bulyan", updates, int, byzantine_f=byzantine_f)
     n = len(ups)
-    f = int(byzantine_f)
-    _check("bulyan", n, {"byzantine_f": f})
-    ids, mat, _ = _stack(ups)
 
-    selected, remaining = _iterated_krum(_pairwise_sq_dists(mat), f)
+    selected = _iterated_krum(_pairwise_sq_dists(mat), f)
     selected.sort()
     mat = mat[selected]  # drops the rows outside S from memory
     keep = n - 4 * f
@@ -301,13 +303,7 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     # and each column is summed in row order, as in _scores_for. + 0.0 turns
     # a -0.0 total into the 0.0 that a sum started at 0.0 gives.
     delta = (np.add.reduce(kept, axis=0) + 0.0) / keep
-    return AggregationDecision(
-        included=tuple(ids[i] for i in selected),
-        excluded=tuple(ids[i] for i in remaining),
-        delta=ModelParams(delta, ups[0].delta.shape),
-        overhead_ops=n * (n - 1) // 2 + 2 * len(selected),
-        info={},
-    )
+    return _decision(ups, selected, delta, n * (n - 1) // 2 + 2 * len(selected))
 
 
 def geomedian(
@@ -321,11 +317,10 @@ def geomedian(
     info, not an error). Nobody is excluded.
     overhead_ops = n + 2n * iterations.
     """
-    ups = _canonical(updates)
+    ups, _, mat, weights, _, _ = _checked(
+        "geomedian", updates, weiszfeld_tol=weiszfeld_tol, weiszfeld_max_iters=weiszfeld_max_iters
+    )
     n = len(ups)
-    params = {"weiszfeld_tol": weiszfeld_tol, "weiszfeld_max_iters": weiszfeld_max_iters}
-    _check("geomedian", n, params)
-    ids, mat, weights = _stack(ups)
     y = _weighted_mean(mat, weights)
     converged = False
     iters = 0
@@ -338,13 +333,7 @@ def geomedian(
         if step < weiszfeld_tol:
             converged = True
             break
-    return AggregationDecision(
-        included=tuple(ids),
-        excluded=(),
-        delta=ModelParams(y, ups[0].delta.shape),
-        overhead_ops=n + 2 * n * iters,
-        info={"converged": converged, "iterations": iters},
-    )
+    return _decision(ups, None, y, n + 2 * n * iters, {"converged": converged, "iterations": iters})
 
 
 def sigma_pid(
@@ -365,10 +354,8 @@ def sigma_pid(
     and whose derivative is zero on the first round.
     Requires n >= 3. overhead_ops = 2n + |included| + 3.
     """
-    ups = _canonical(updates)
+    ups, ids, mat, weights, *_ = _checked("sigma_pid", updates, sigma_k=sigma_k, kp=kp, ki=ki, kd=kd)
     n = len(ups)
-    _check("sigma_pid", n, {"sigma_k": sigma_k, "kp": kp, "ki": ki, "kd": kd})
-    ids, mat, weights = _stack(ups)
     dists, med, scale = robust_distances(mat)
     threshold = med + sigma_k * scale
     keep_mask = dists <= threshold
@@ -386,17 +373,12 @@ def sigma_pid(
     cap = INTEGRAL_CAP * float(np.linalg.norm(error))
     inorm = float(np.linalg.norm(integral))
     if inorm > cap:
-        integral = integral * (cap / inorm) if inorm > 0 else integral * 0.0
+        integral = integral * (cap / inorm)
     derivative = np.zeros_like(error) if prev is None else error - prev
     delta = kp * error + ki * integral + kd * derivative
 
-    decision = AggregationDecision(
-        included=tuple(ids[i] for i in kept),
-        excluded=tuple(ids[i] for i in range(n) if not keep_mask[i]),
-        delta=ModelParams(delta, ups[0].delta.shape),
-        overhead_ops=2 * n + len(kept) + 3,
-        info={"threshold": threshold, "distances": {ids[i]: float(dists[i]) for i in range(n)}},
-    )
+    info = {"threshold": threshold, "distances": {ids[i]: float(dists[i]) for i in range(n)}}
+    decision = _decision(ups, kept, delta, 2 * n + len(kept) + 3, info)
     return decision, PidState(prev_error=error, integral=integral)
 
 
@@ -489,14 +471,6 @@ AGGREGATORS: dict[str, AggregatorEntry] = {e.name: e for e in (
                                              Param("kp", 1.0), Param("ki", 0.0), Param("kd", 0.0)),
                     ((None, lambda p: 3),), threads_state=True),
 )}
-
-
-def _check(name: str, n: int, params: dict) -> None:
-    """Raise ValueError unless params and n meet the named aggregator's entry."""
-    problem = AGGREGATORS[name].problem(n, params)
-    if problem is not None:
-        blamed, message = problem
-        raise ValueError(f"{name}.{blamed}: {message}" if blamed else message)
 
 
 def aggregate(

@@ -49,6 +49,8 @@ def cmd_run(args) -> int:
 
 
 def _parse_sweep_value(text: str):
+    if text in ("true", "false"):
+        return text == "true"
     try:
         return int(text)
     except ValueError:

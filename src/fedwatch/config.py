@@ -13,6 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .aggregators import AGGREGATORS, bound_problem
 from .attacks import ATTACK_KINDS, AttackSpec
+from .core import SEED_MAX
 from .datagen import HeterogeneitySpec
 from .trainer import TrainConfig
 
@@ -94,7 +95,7 @@ class SimConfig:
 # not listed takes any value of its type; aggregator params are bounded by
 # their registry entry.
 RULES: dict[str, dict] = {
-    "seed": {"minimum": 0},
+    "seed": {"minimum": 0, "maximum": SEED_MAX},
     "rounds": {"minimum": 0},
     "num_clients": {"minimum": 1},
     "malicious.kind": {"choices": ATTACK_KINDS},

@@ -20,6 +20,7 @@ import numpy as np
 ClientId = int
 
 _MASK64 = (1 << 64) - 1
+SEED_MAX = _MASK64  # Rng keeps a seed's low 64 bits, so a larger seed repeats a run
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -229,14 +230,6 @@ class ModelParams:
     def zeros(cls, shape: tuple[int, int]) -> "ModelParams":
         c, f = shape
         return cls(np.zeros(c * f + c), (c, f))
-
-    @property
-    def num_classes(self) -> int:
-        return self.shape[0]
-
-    @property
-    def num_features(self) -> int:
-        return self.shape[1]
 
     def weights(self) -> np.ndarray:
         """Weight block as a (num_classes, num_features) view."""

@@ -199,7 +199,6 @@ def partition(
         classes = np.unique(data.labels)
         by_class = {int(c): np.flatnonzero(data.labels == c) for c in classes}
         alpha = np.full(num_clients, float(spec.dirichlet_alpha))
-        index_lists = None
         for _ in range(100):
             trial: list[list[int]] = [[] for _ in range(num_clients)]
             for c in sorted(by_class):
@@ -211,10 +210,9 @@ def partition(
                 for i in range(num_clients):
                     trial[i].extend(shuffled[start : stops[i]].tolist())
                     start = int(stops[i])
-            if all(trial[i] for i in range(num_clients)):
-                index_lists = [np.sort(np.asarray(t, dtype=np.int64)) for t in trial]
-                break
             index_lists = [np.sort(np.asarray(t, dtype=np.int64)) for t in trial]
+            if all(len(ix) for ix in index_lists):
+                break
         # Fallback: move one sample at a time from the largest shard.
         while any(len(ix) == 0 for ix in index_lists):
             empty = min(i for i in range(num_clients) if len(index_lists[i]) == 0)

@@ -138,20 +138,13 @@ def _prepare_shards(config: SimConfig, train: Dataset) -> list[ClientShard]:
         Rng(config.seed, substream(STREAM_PARTITION)),
     )
     attack = config.malicious
-    if attack.kind == "label_flip" and attack.targets:
-        poisoned = []
-        for shard in shards:
-            if shard.client in attack.targets:
-                flipped = flip_labels(
-                    shard.train,
-                    attack.fraction,
-                    config.dataset.classes,
-                    Rng(config.seed, substream(STREAM_FLIP, 0, shard.client)),
-                )
-                poisoned.append(ClientShard(shard.client, flipped, shard.indices))
-            else:
-                poisoned.append(shard)
-        return poisoned
+    if attack.kind == "label_flip":
+        # partition returns the shards in client-id order, so shards[cid] is cid's.
+        flip_ids = [substream(STREAM_FLIP, 0, c) for c in attack.targets]
+        for cid, rng in zip(attack.targets, Rng.streams(config.seed, flip_ids)):
+            shard = shards[cid]
+            flipped = flip_labels(shard.train, attack.fraction, config.dataset.classes, rng)
+            shards[cid] = ClientShard(cid, flipped, shard.indices)
     return shards
 
 
@@ -159,7 +152,6 @@ def run(config: SimConfig) -> RunResult:
     """Execute every round and return the full trajectory."""
     train_data, eval_data = _build_data(config)
     shards = _prepare_shards(config, train_data)
-    shard_by_id = {s.client: s for s in shards}
     all_clients = tuple(range(config.num_clients))
     malicious = set(config.malicious.targets)
     model_attack = config.malicious.kind != "label_flip" and bool(config.malicious.targets)
@@ -205,7 +197,7 @@ def run(config: SimConfig) -> RunResult:
         diverged: list[ClientId] = []
         for cid, rng_train in zip(participants, train_rngs):
             try:
-                upd = local_train(params, shard_by_id[cid], config.train, rng_train)
+                upd = local_train(params, shards[cid], config.train, rng_train)
             except TrainingDivergedError:
                 diverged.append(cid)
                 continue
@@ -248,7 +240,7 @@ def run(config: SimConfig) -> RunResult:
 
         loss, accuracy = evaluate(params, eval_data)
         cost = float(
-            sum(config.train.local_epochs * shard_by_id[c].train.num_samples for c in participants)
+            sum(config.train.local_epochs * shards[c].train.num_samples for c in participants)
         )
         overhead = float(decision.overhead_ops)
         ledger_record(ledger, loss, cost, overhead)

@@ -9,11 +9,9 @@ objective (loss + alpha * cost + beta * overhead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .aggregators import AggregationDecision, robust_distances
+from .aggregators import AggregationDecision, robust_distances, stack_updates
 from .core import ClientId, ModelParams
 
 
@@ -79,18 +77,16 @@ def compute_indicators(
     use median/MAD with the same floor as the sigma filter. Reputations
     are copied from the current state. ``global_params`` is the broadcast
     model the deltas are relative to and is used for shape validation.
+    The updates are ordered and checked as every aggregator's are.
     """
-    ups = sorted(updates, key=lambda u: u.client)
-    if not ups:
-        raise ValueError("no updates")
-    for u in ups:
-        if u.delta.shape != global_params.shape:
-            raise ValueError("update shape does not match global model")
-    dists, med, scale = robust_distances(np.stack([u.delta.values for u in ups]))
+    ups, ids, mat, _ = stack_updates(updates)
+    if ups[0].delta.shape != global_params.shape:
+        raise ValueError("update shape does not match global model")
+    dists, med, scale = robust_distances(mat)
     return TrustIndicators(
-        distance={u.client: float(d) for u, d in zip(ups, dists)},
-        z_score={u.client: float((d - med) / scale) for u, d in zip(ups, dists)},
-        reputation={u.client: reputation.reputation[u.client] for u in ups},
+        distance={c: float(d) for c, d in zip(ids, dists)},
+        z_score={c: float((d - med) / scale) for c, d in zip(ids, dists)},
+        reputation={c: reputation.reputation[c] for c in ids},
     )
 
 
@@ -112,11 +108,7 @@ def update_reputation(
         if cid not in rep:
             raise ValueError(f"unknown client id {cid}")
         rep[cid] = lam * rep[cid]
-    return ReputationState(
-        reputation=rep,
-        decay_lambda=state.decay_lambda,
-        participation_threshold=state.participation_threshold,
-    )
+    return replace(state, reputation=rep)
 
 
 def select_participants(

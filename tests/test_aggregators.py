@@ -13,6 +13,7 @@ from fedwatch.aggregators import (
     krum,
     multi_krum,
     sigma_pid,
+    stack_updates,
     trimmed_mean,
 )
 from fedwatch.core import ClientUpdate, ModelParams, Rng
@@ -422,6 +423,76 @@ class TestCrossCuttingInvariants:
         ups = [upd(1, [1.0]), upd(1, [2.0]), upd(2, [3.0])]
         with pytest.raises(ValueError):
             fedavg(ups)
+
+
+# Each public aggregator with params that hold on 7 updates.
+AGGREGATOR_CALLS = {
+    "fedavg": lambda u: fedavg(u),
+    "trimmed_mean": lambda u: trimmed_mean(u, 1),
+    "krum": lambda u: krum(u, 1),
+    "multi_krum": lambda u: multi_krum(u, 1, 3),
+    "bulyan": lambda u: bulyan(u, 1),
+    "geomedian": lambda u: geomedian(u),
+    "sigma_pid": lambda u: sigma_pid(u, None)[0],
+}
+
+
+class TestSharedEntry:
+    def test_stack_updates_orders_by_client_id(self):
+        ups = [upd(4, [1.0], num_samples=2), upd(0, [2.0], num_samples=3), upd(2, [3.0])]
+        ordered, ids, mat, weights = stack_updates(ups)
+        assert ids == [0, 2, 4]
+        assert [u.client for u in ordered] == ids
+        assert np.array_equal(mat, [[2.0, 0.0], [3.0, 0.0], [1.0, 0.0]])
+        assert weights.tolist() == [3.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("name", AGGREGATOR_CALLS)
+    @pytest.mark.parametrize(
+        "ups, message",
+        [
+            ([], "no updates"),
+            # duplicate ids are reported before the shapes that also differ
+            ([upd(1, [1.0]), upd(1, [1.0, 2.0, 3.0]), upd(2, [3.0])], "duplicate client ids"),
+            ([upd(1, [1.0]), upd(2, [1.0, 2.0, 3.0])], "mismatched delta shapes"),
+        ],
+    )
+    def test_ordering_errors_come_first(self, name, ups, message):
+        with pytest.raises(ValueError, match=message):
+            AGGREGATOR_CALLS[name](ups)
+
+    def test_ordering_errors_come_before_param_checks(self):
+        with pytest.raises(ValueError, match="no updates"):
+            krum([], -1)
+        with pytest.raises(ValueError, match="no updates"):
+            multi_krum([], None, None)
+        with pytest.raises(ValueError, match="krum.byzantine_f: krum needs at least 5 clients, got 4"):
+            krum(scalar_updates([1.0, 2.0, 3.0, 4.0]), 1)
+        with pytest.raises(ValueError, match="^sigma_pid needs at least 3 clients, got 2$"):
+            sigma_pid(scalar_updates([1.0, 2.0]), None)
+
+    def test_integer_params_are_taken_as_int(self):
+        ups = random_updates(Rng(113), 7, 3)
+        for call in (krum, bulyan, lambda u, f: trimmed_mean(u, f)):
+            a, b = call(ups, 1), call(ups, 1.0)
+            assert (a.included, a.excluded, a.overhead_ops) == (b.included, b.excluded, b.overhead_ops)
+            assert np.array_equal(a.delta.values, b.delta.values)
+
+    @pytest.mark.parametrize("name", AGGREGATOR_CALLS)
+    def test_included_and_excluded_split_the_ids_in_ascending_order(self, name):
+        rng = Rng(114)
+        ups = random_updates(rng, 7, 3)
+        ups = [upd(3 * u.client + 1, u.delta.values, shape=(1, 3)) for u in ups]
+        d = AGGREGATOR_CALLS[name]([ups[i] for i in rng.permutation(7)])
+        assert list(d.included) == sorted(d.included)
+        assert list(d.excluded) == sorted(d.excluded)
+        assert sorted(d.included + d.excluded) == [u.client for u in ups]
+        assert d.delta.shape == (1, 3)
+
+    def test_krum_delta_is_the_winners_own_params(self):
+        ups = random_updates(Rng(115), 7, 3)
+        d = krum(ups, 1)
+        (winner,) = d.included
+        assert d.delta is ups[winner].delta
 
 
 @st.composite

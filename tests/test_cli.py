@@ -184,6 +184,33 @@ class TestSweepCommand:
             sweep_out / "2.5" / "metrics.csv"
         ).read_bytes()
 
+    def test_boolean_field_sweeps_over_true_and_false(self, tmp_path):
+        cfg_path = write_config(tmp_path, small_config())
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--config", cfg_path,
+            "--param", "reputation.enabled",
+            "--values", "true,false",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["False", "True"]
+        rows = (out / "sweep_summary.csv").read_text().strip().split("\n")
+        assert [r.split(",")[0] for r in rows[1:]] == ["True", "False"]
+
+    def test_boolean_field_still_rejects_a_number(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, small_config())
+        out = tmp_path / "s"
+        code = main([
+            "sweep", "--config", cfg_path,
+            "--param", "reputation.enabled",
+            "--values", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "reputation.enabled: expected a boolean, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigErrorPaths:
     """Each failure of reading or validating a config exits with one line."""
@@ -229,6 +256,14 @@ class TestConfigErrorPaths:
         argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o")]
         assert main(argv + (["--seed", seed] if seed else [])) == 2
         self.one_error_line(capsys)
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, small_config())
+        out = tmp_path / "out"
+        argv = ["run", "--config", cfg_path, "--out", str(out), "--seed", str(2**64)]
+        assert main(argv) == 2
+        assert self.one_error_line(capsys).startswith("error: seed: must be <= ")
+        assert not out.exists()
 
     def test_run_seed_equal_to_file_seed_changes_nothing(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())

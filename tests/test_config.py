@@ -323,6 +323,13 @@ def test_non_finite_real_param_is_rejected_at_its_path(name, param, value):
     assert e.value.path == "aggregator.params." + param
 
 
+def test_seed_is_bounded_to_the_width_rng_keeps():
+    assert build_config(cfg_dict(seed=2**64 - 1)).seed == 2**64 - 1
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(seed=2**64))
+    assert e.value.path == "seed"
+
+
 def test_infinity_within_its_bounds_must_still_be_finite():
     with pytest.raises(ConfigError) as e:
         build_config(cfg_dict(train={"learning_rate": float("inf")}))

@@ -54,6 +54,19 @@ class TestComputeIndicators:
         ind = compute_indicators(ups, ModelParams.zeros((1, 1)), state)
         assert ind.reputation == {0: 1.0, 1: 1.0, 2: 1.0}
 
+    def test_duplicate_ids_rejected(self):
+        state = ReputationState.fresh(range(2))
+        with pytest.raises(ValueError, match="duplicate client ids"):
+            compute_indicators(
+                [upd(0, [1.0, 0.0]), upd(1, [2.0, 0.0]), upd(0, [3.0, 0.0])],
+                ModelParams.zeros((1, 1)),
+                state,
+            )
+
+    def test_empty_round_rejected(self):
+        with pytest.raises(ValueError):
+            compute_indicators([], ModelParams.zeros((1, 1)), ReputationState.fresh(range(1)))
+
     def test_shape_mismatch_rejected(self):
         state = ReputationState.fresh(range(1))
         with pytest.raises(ValueError):
