@@ -18,8 +18,6 @@ from .config import (
     AggregatorSpec,
     ConfigError,
     DatasetConfig,
-    ReputationConfig,
-    ResourceConfig,
     SimConfig,
     build_config,
     load_config,
@@ -29,7 +27,9 @@ from .datagen import ClientShard, Dataset, HeterogeneitySpec, generate_synthetic
 from .engine import EngineError, RoundMetrics, RunResult, run, sweep, write_run_outputs
 from .trainer import TrainConfig, TrainingDivergedError, evaluate, local_train, loss_and_gradient
 from .trust import (
+    ReputationConfig,
     ReputationState,
+    ResourceConfig,
     ResourceLedger,
     TrustIndicators,
     compute_indicators,

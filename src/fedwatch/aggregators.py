@@ -202,7 +202,7 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     ups, ids, mat, _, f = _checked("krum", updates, int, byzantine_f=byzantine_f)
     n = len(ups)
     scores = _scores_for(mat, f)
-    best = min(range(n), key=lambda i: (scores[i], ids[i]))
+    best = int(np.argmin(scores))  # rows ascend by id, so ties go to the lowest
     info = {"scores": {ids[i]: float(scores[i]) for i in range(n)}}
     return _decision(ups, [best], ups[best].delta, n * (n - 1) // 2 + 1, info)
 
@@ -218,8 +218,7 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     )
     n = len(ups)
     scores = _scores_for(mat, f)
-    ranked = sorted(range(n), key=lambda i: (scores[i], ids[i]))
-    chosen = sorted(ranked[:m])
+    chosen = np.sort(np.argsort(scores, kind="stable")[:m])
     delta = _weighted_mean(mat[chosen], weights[chosen])
     info = {"scores": {ids[i]: float(scores[i]) for i in range(n)}}
     return _decision(ups, chosen, delta, n * (n - 1) // 2 + m, info)
@@ -327,7 +326,7 @@ def geomedian(
     for iters in range(1, weiszfeld_max_iters + 1):
         dists = np.maximum(np.linalg.norm(mat - y, axis=1), WEISZFELD_EPS)
         coef = weights / dists
-        y_next = (coef[:, None] * mat).sum(axis=0) / coef.sum()
+        y_next = _weighted_mean(mat, coef)
         step = float(np.linalg.norm(y_next - y))
         y = y_next
         if step < weiszfeld_tol:
@@ -360,9 +359,8 @@ def sigma_pid(
     threshold = med + sigma_k * scale
     keep_mask = dists <= threshold
     if not keep_mask.any():
-        closest = min(range(n), key=lambda i: (dists[i], ids[i]))
         keep_mask = np.zeros(n, dtype=bool)
-        keep_mask[closest] = True
+        keep_mask[np.argmin(dists)] = True
     kept = np.flatnonzero(keep_mask)
     raw = _weighted_mean(mat[kept], weights[kept])
 

@@ -16,6 +16,7 @@ from .attacks import ATTACK_KINDS, AttackSpec
 from .core import SEED_MAX
 from .datagen import HeterogeneitySpec
 from .trainer import TrainConfig
+from .trust import ReputationConfig, ResourceConfig
 
 
 class ConfigError(ValueError):
@@ -45,19 +46,6 @@ SYNTHETIC_ONLY = ("features", "samples_per_class", "cluster_spread")
 class AggregatorSpec:
     name: str
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ReputationConfig:
-    enabled: bool = True
-    decay_lambda: float = 0.9
-    participation_threshold: float = 0.0
-
-
-@dataclass(frozen=True)
-class ResourceConfig:
-    alpha: float = 0.0
-    beta: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -371,10 +371,24 @@ class SweepRow:
 
 
 _SWEEP_COLUMNS = _columns(SweepRow)
+_SWEEP_SUMMARY = "sweep_summary.csv"
 
 
 def sweep_summary_csv(rows: list[SweepRow]) -> str:
     return _to_csv(_SWEEP_COLUMNS, rows)
+
+
+def _check_run_dir_names(param_path: str, values) -> None:
+    """Each value must name a directory of its own inside the sweep's out_dir."""
+    seen: set[str] = set()
+    for name in map(str, values):
+        if name in seen:
+            raise ConfigError(param_path, f"sweep value {name!r} repeats a run directory name")
+        if name in ("", ".", "..", _SWEEP_SUMMARY) or any(
+            sep in name for sep in ("/", os.sep, os.altsep, "\0") if sep
+        ):
+            raise ConfigError(param_path, f"sweep value {name!r} cannot name a run directory")
+        seen.add(name)
 
 
 def sweep(
@@ -382,11 +396,13 @@ def sweep(
 ) -> list[SweepRow]:
     """Re-run the config once per value of one scalar field, same seed.
 
-    With ``out_dir`` set, each value gets its own run directory (named
-    after the value) plus a sweep_summary.csv at the top.
+    With ``out_dir`` set, each value gets its own run directory inside it,
+    named ``str(value)``, plus a sweep_summary.csv at the top.
     """
     if not values:
         raise ConfigError(param_path, "no sweep values given")
+    if out_dir is not None:
+        _check_run_dir_names(param_path, values)
     base = config.to_dict()
     # Every value is validated before any runs, so a bad one leaves no output.
     configs = [build_config(set_by_path(base, param_path, value)) for value in values]
@@ -400,7 +416,7 @@ def sweep(
         s = summarize(cfg, result, elapsed)
         rows.append(SweepRow(value, *(s[name] for name, _ in _SWEEP_COLUMNS[1:])))
     if out_dir is not None:
-        with open(os.path.join(out_dir, "sweep_summary.csv"), "w") as fh:
+        with open(os.path.join(out_dir, _SWEEP_SUMMARY), "w") as fh:
             fh.write(sweep_summary_csv(rows))
     return rows
 

@@ -23,11 +23,15 @@ class TrainConfig:
     l2_reg: float = 1e-4
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # np.maximum.reduce / np.add.reduce are the ufuncs behind ndarray.max /
-    # sum, called without their Python wrappers.
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+def _log_softmax(g: np.ndarray) -> np.ndarray:
+    """Turn the logits ``g`` into log-probabilities in place; returns g.
+
+    The ufunc reductions behind ndarray.max/sum, minus their Python wrappers.
+    """
+    g -= np.maximum.reduce(g, axis=1, keepdims=True)
+    norm = np.add.reduce(np.exp(g), axis=1, keepdims=True)
+    g -= np.log(norm, out=norm)
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -38,24 +42,21 @@ def _eye(c: int) -> np.ndarray:
     return eye
 
 
-def _loss_grad_arrays(
-    w: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray, l2_reg: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy plus ridge term, with its exact gradient.
+def _gradient(x, onehot, w, b, l2, grad_w, grad_b, ridge) -> None:
+    """Write the gradient of the mean cross-entropy over the rows of ``x``
+    plus ``0.5 * l2 * |w|^2`` into ``grad_w`` and ``grad_b``.
 
-    ``add.reduce(...) / n`` is what ``ndarray.mean`` computes.
+    ``ridge`` is scratch shaped like ``w``. Subtracting the one-hot row is
+    subtracting 1.0 at the label, because x - 0.0 == x.
     """
-    n = x.shape[0]
-    logits = x @ w.T + b
-    logp = _log_softmax(logits)
-    nll = -(np.add.reduce(logp[np.arange(n), y]) / n)
-    loss = float(nll + 0.5 * l2_reg * float(np.add.reduce(w * w, axis=None)))
-    g = np.exp(logp)
-    g[np.arange(n), y] -= 1.0
-    g /= n
-    grad_w = g.T @ x + l2_reg * w
-    grad_b = g.sum(axis=0)
-    return loss, grad_w, grad_b
+    g = np.matmul(x, w.T)
+    g += b
+    np.exp(_log_softmax(g), out=g)
+    g -= onehot  # p - onehot(y)
+    g /= x.shape[0]
+    np.matmul(g.T, x, out=grad_w)
+    grad_w += np.multiply(w, l2, out=ridge)
+    np.add.reduce(g, axis=0, out=grad_b)
 
 
 def loss_and_gradient(
@@ -63,16 +64,21 @@ def loss_and_gradient(
 ) -> tuple[float, ModelParams]:
     """Regularized mean cross-entropy and its analytic gradient.
 
-    Per sample the gradient contribution is (p - onehot(y)) outer x for the
-    weight block and (p - onehot(y)) for the biases, averaged over the data,
-    plus l2_reg * W on the weight block only.
+    The loss is ``evaluate``'s plus 0.5 * l2_reg * |W|^2. Per sample the
+    gradient contribution is (p - onehot(y)) outer x for the weight block
+    and (p - onehot(y)) for the biases, averaged over the data, plus
+    l2_reg * W on the weight block only: the step ``local_train`` takes,
+    over the whole dataset at once.
     """
-    if data.num_samples == 0:
-        raise ValueError("empty dataset")
-    loss, gw, gb = _loss_grad_arrays(
-        params.weights(), params.biases(), data.features, data.labels, l2_reg
+    w = params.weights()
+    loss = evaluate(params, data)[0] + 0.5 * l2_reg * float(np.add.reduce(w * w, axis=None))
+    c = params.shape[0]
+    grad_w, grad_b = np.empty_like(w), np.empty(c)
+    _gradient(
+        data.features, _eye(c)[data.labels], w, params.biases(), l2_reg,
+        grad_w, grad_b, np.empty_like(w),
     )
-    return loss, ModelParams(np.concatenate([gw.ravel(), gb]), params.shape)
+    return loss, ModelParams(np.concatenate([grad_w.ravel(), grad_b]), params.shape)
 
 
 def local_train(
@@ -83,12 +89,8 @@ def local_train(
     Each epoch shuffles the shard with the given rng and walks it in
     mini-batches, keeping the final partial batch. Raises
     TrainingDivergedError if the parameters or the delta go non-finite.
-
-    Every step performs the float operations of ``_loss_grad_arrays`` in
-    the same order on the same operands, so the result is bit-identical to
-    calling it per minibatch; only the loss, which steps never use, is
-    skipped. Subtracting the one-hot row is the same as subtracting 1.0 at
-    the label, because x - 0.0 == x.
+    Each step is one ``_gradient`` call on preallocated buffers, the
+    kernel ``loss_and_gradient`` runs; no loss is computed.
     """
     data = shard.train
     n = data.num_samples
@@ -97,37 +99,20 @@ def local_train(
     c, f = start.shape
     cf = c * f
     theta = start.values.copy()
-    w = theta[:cf].reshape(c, f)
-    b = theta[cf:]
-    w_t = w.T
     grad = np.empty_like(theta)
-    grad_w = grad[:cf].reshape(c, f)
-    grad_b = grad[cf:]
+    w, b = theta[:cf].reshape(c, f), theta[cf:]
+    grad_w, grad_b = grad[:cf].reshape(c, f), grad[cf:]
     ridge = np.empty_like(w)
-    eye = _eye(c)
     lr = cfg.learning_rate
     l2 = cfg.l2_reg
     bs = max(1, int(cfg.batch_size))
-    # The ufunc reductions behind ndarray.max/sum, minus their Python wrappers.
-    row_max, row_sum = np.maximum.reduce, np.add.reduce
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(n)
             xs = data.features[order]
-            onehots = eye[data.labels[order]]
+            onehots = _eye(c)[data.labels[order]]
             for lo in range(0, n, bs):
-                x = xs[lo : lo + bs]
-                g = np.matmul(x, w_t)  # logits
-                g += b
-                g -= row_max(g, axis=1, keepdims=True)
-                norm = row_sum(np.exp(g), axis=1, keepdims=True)
-                g -= np.log(norm, out=norm)  # log-probabilities
-                np.exp(g, out=g)
-                g -= onehots[lo : lo + bs]  # p - onehot(y)
-                g /= x.shape[0]
-                np.matmul(g.T, x, out=grad_w)
-                grad_w += np.multiply(w, l2, out=ridge)
-                row_sum(g, axis=0, out=grad_b)
+                _gradient(xs[lo : lo + bs], onehots[lo : lo + bs], w, b, l2, grad_w, grad_b, ridge)
                 grad *= lr
                 theta -= grad
         # A fresh array rather than theta reused in place: reuse raised the
@@ -143,13 +128,14 @@ def local_train(
 
 
 def evaluate(params: ModelParams, data: Dataset) -> tuple[float, float]:
-    """Mean cross-entropy and argmax accuracy (ties go to the lowest class)."""
+    """Mean cross-entropy and argmax accuracy (ties go to the lowest class).
+
+    The argmax is taken on the logits: the log-softmax's rounding could
+    merge two nearly equal values into a tie.
+    """
     if data.num_samples == 0:
         raise ValueError("empty dataset")
-    n = data.num_samples
     logits = data.features @ params.weights().T + params.biases()
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == data.labels))
     logp = _log_softmax(logits)
-    loss = -logp[np.arange(n), data.labels].mean()
-    preds = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(preds == data.labels))
-    return float(loss), accuracy
+    return float(-logp[np.arange(data.num_samples), data.labels].mean()), accuracy

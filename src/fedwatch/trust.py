@@ -15,6 +15,21 @@ from .aggregators import AggregationDecision, robust_distances, stack_updates
 from .core import ClientId, ModelParams
 
 
+# The config's reputation and resource sections. ReputationState and
+# ResourceLedger take their defaults from them.
+@dataclass(frozen=True)
+class ReputationConfig:
+    enabled: bool = True
+    decay_lambda: float = 0.9
+    participation_threshold: float = 0.0
+
+
+@dataclass(frozen=True)
+class ResourceConfig:
+    alpha: float = 0.0
+    beta: float = 0.0
+
+
 @dataclass(frozen=True)
 class TrustIndicators:
     """Per-client monitoring signals for one round."""
@@ -29,22 +44,13 @@ class ReputationState:
     """Exponentially decayed inclusion history per client, in [0, 1]."""
 
     reputation: dict[ClientId, float]
-    decay_lambda: float = 0.9
-    participation_threshold: float = 0.0
+    decay_lambda: float = ReputationConfig.decay_lambda
+    participation_threshold: float = ReputationConfig.participation_threshold
 
     @classmethod
-    def fresh(
-        cls,
-        clients,
-        decay_lambda: float = 0.9,
-        participation_threshold: float = 0.0,
-    ) -> "ReputationState":
-        """Everyone starts fully trusted."""
-        return cls(
-            reputation={int(c): 1.0 for c in clients},
-            decay_lambda=decay_lambda,
-            participation_threshold=participation_threshold,
-        )
+    def fresh(cls, clients, **settings) -> "ReputationState":
+        """Everyone starts fully trusted; ``settings`` are the other fields."""
+        return cls(reputation={int(c): 1.0 for c in clients}, **settings)
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,8 @@ class ResourceLedger:
     exactly as computed.
     """
 
-    alpha: float = 0.0
-    beta: float = 0.0
+    alpha: float = ResourceConfig.alpha
+    beta: float = ResourceConfig.beta
     entries: list[LedgerEntry] = field(default_factory=list)
 
 

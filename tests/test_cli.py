@@ -211,6 +211,33 @@ class TestSweepCommand:
         assert "reputation.enabled: expected a boolean, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "values, problem",
+        [
+            ("../escaped,x", "cannot name a run directory"),
+            ("x,x", "repeats a run directory name"),
+        ],
+    )
+    def test_value_that_is_no_run_directory_name_writes_nothing(
+        self, tmp_path, capsys, values, problem
+    ):
+        cfg_path = write_config(tmp_path, small_config())
+        work = tmp_path / "d"
+        work.mkdir()
+        code = main([
+            "sweep", "--config", cfg_path,
+            "--param", "description",
+            "--values", values,
+            "--out", str(work / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: description: sweep value ")
+        assert err.count("\n") == 1
+        assert problem in err
+        assert list(work.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "d"]
+
 
 class TestConfigErrorPaths:
     """Each failure of reading or validating a config exits with one line."""

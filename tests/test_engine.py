@@ -358,3 +358,19 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(cfg(), "train.nope", [1.0, 2.0], out_dir=str(tmp_path / "sweep"))
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("bad", ["", ".", "..", "a/b", "nul\0byte", "sweep_summary.csv"])
+    def test_value_that_cannot_name_a_run_directory_is_rejected(self, tmp_path, bad):
+        with pytest.raises(ConfigError) as exc:
+            sweep(cfg(rounds=1), "description", ["ok", bad], out_dir=str(tmp_path / "sweep"))
+        assert exc.value.path == "description"
+        assert not (tmp_path / "sweep").exists()
+
+    def test_repeated_run_directory_name_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="repeats"):
+            sweep(cfg(rounds=1), "description", ["1", "1"], out_dir=str(tmp_path / "sweep"))
+        assert not (tmp_path / "sweep").exists()
+
+    def test_names_are_free_without_an_out_dir(self):
+        rows = sweep(cfg(rounds=1), "description", ["../x", "../x"])
+        assert [r.value for r in rows] == ["../x", "../x"]

@@ -164,6 +164,41 @@ class TestLocalTrainMatchesReference:
         assert got == expected
 
 
+class TestCheckedGradientIsApplied:
+    """loss_and_gradient's gradient, the one the finite-difference tests
+    check, is the step local_train takes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        classes=st.integers(2, 10),
+        features=st.integers(1, 40),
+        n=st.integers(1, 60),
+        batch_over=st.integers(0, 20),
+        l2=st.sampled_from([0.0, 1e-4, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_full_batch_step_from_zero_is_minus_the_gradient(
+        self, classes, features, n, batch_over, l2, seed
+    ):
+        rng = Rng(seed)
+        shape = (classes, features)
+        data = Dataset(
+            rng.standard_normal((n, features)) * 2.0, rng.integers(0, classes, size=n)
+        )
+        shard = ClientShard(client=0, train=data, indices=np.arange(n))
+        cfg = TrainConfig(learning_rate=1.0, local_epochs=1, batch_size=n + batch_over, l2_reg=l2)
+        upd = local_train(ModelParams.zeros(shape), shard, cfg, Rng(seed, 5))
+        order = Rng(seed, 5).permutation(n)
+        _, grad = loss_and_gradient(
+            ModelParams.zeros(shape), Dataset(data.features[order], data.labels[order]), l2
+        )
+        # From zero at lr 1.0 the step sets theta = 0.0 - grad and the delta
+        # is theta - 0.0, both exact. The delta is compared with 0.0 - grad
+        # rather than its negation with grad: a gradient entry of exactly 0.0
+        # (two classes at an even split, say) gives the delta 0.0, not -0.0.
+        assert upd.delta.values.tobytes() == (0.0 - grad.values).tobytes()
+
+
 class TestEvaluate:
     def test_zero_params_on_balanced_data(self):
         ds = generate_synthetic(4, 3, 25, 0.5, Rng(5))

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from fedwatch.aggregators import AggregationDecision
 from fedwatch.core import ClientUpdate, ModelParams, Rng
 from fedwatch.trust import (
+    ReputationConfig,
     ReputationState,
+    ResourceConfig,
     ResourceLedger,
     compute_indicators,
     ledger_record,
@@ -174,3 +176,22 @@ class TestLedger:
         ledger = ResourceLedger()
         with pytest.raises(ValueError):
             ledger_record(ledger, 0.1, -1.0, 0.0)
+
+
+class TestDefaultsComeFromTheConfigSections:
+    def test_reputation_state_defaults(self):
+        cfg = ReputationConfig()
+        for state in (ReputationState.fresh(range(4)), ReputationState(reputation={0: 1.0})):
+            assert state.decay_lambda == cfg.decay_lambda
+            assert state.participation_threshold == cfg.participation_threshold
+
+    def test_ledger_defaults(self):
+        ledger, cfg = ResourceLedger(), ResourceConfig()
+        assert (ledger.alpha, ledger.beta, ledger.entries) == (cfg.alpha, cfg.beta, [])
+
+    def test_config_module_reexports_the_sections(self):
+        import fedwatch
+        from fedwatch import config
+
+        assert config.ReputationConfig is fedwatch.ReputationConfig is ReputationConfig
+        assert config.ResourceConfig is fedwatch.ResourceConfig is ResourceConfig
