@@ -310,10 +310,10 @@ def geomedian(
 ) -> AggregationDecision:
     """Weighted geometric median of the deltas via smoothed Weiszfeld iteration.
 
-    Starts from the sample-weighted mean and reweights each update by
-    w_i / max(distance_i, 1e-9) until the step norm drops below tol or the
-    iteration budget runs out (non-convergence is flagged in the decision
-    info, not an error). Nobody is excluded.
+    Starts from the sample-weighted mean, or the coordinate-wise median if a
+    distance from the mean overflows, and reweights each update by w_i /
+    max(distance_i, 1e-9) until the step norm drops below tol or the budget
+    runs out (non-convergence is flagged in info, not an error). Nobody is excluded.
     overhead_ops = n + 2n * iterations.
     """
     ups, _, mat, weights, _, _ = _checked(
@@ -321,6 +321,8 @@ def geomedian(
     )
     n = len(ups)
     y = _weighted_mean(mat, weights)
+    if not np.isfinite(np.linalg.norm(mat - y, axis=1)).all():
+        y = np.median(mat, axis=0)
     converged = False
     iters = 0
     for iters in range(1, weiszfeld_max_iters + 1):

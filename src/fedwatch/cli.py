@@ -112,7 +112,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         return _fail(EXIT_CONFIG, str(e))
-    except (EngineError, FloatingPointError) as e:
+    except EngineError as e:
         return _fail(EXIT_RUNTIME, str(e))
 
 

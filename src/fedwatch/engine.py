@@ -5,12 +5,15 @@ cycle for the configured number of rounds, asserting the literal global
 update rule (new params = old params + aggregation delta) and recording a
 metrics row plus a ledger entry per round. Identical configs give
 bit-identical outputs.
+
+A round has two phases: every participant trains, then every attacker
+poisons its own update. Only a diverged or non-finite update is left out;
+every finite one, however large, reaches the monitor and the aggregator.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from collections.abc import Callable
@@ -22,7 +25,7 @@ import numpy as np
 from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate
 from .attacks import flip_labels, poison_update
 from .config import ConfigError, SimConfig, build_config, eval_split_size, set_by_path
-from .core import ClientId, ModelParams, Rng, substream
+from .core import ClientId, ClientUpdate, ModelParams, Rng, substream
 from .datagen import ClientShard, Dataset, generate_synthetic, load_csv, partition
 from .trainer import TrainingDivergedError, evaluate, local_train
 from .trust import (
@@ -45,7 +48,7 @@ STREAM_POISON = 6
 
 
 class EngineError(RuntimeError):
-    """A run that cannot proceed (for example, too few usable updates)."""
+    """A run that cannot proceed: too few usable updates or a non-finite model."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,7 @@ def _prepare_shards(config: SimConfig, train: Dataset) -> list[ClientShard]:
     return shards
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge finite updates overflow distances to inf
 def run(config: SimConfig) -> RunResult:
     """Execute every round and return the full trajectory."""
     train_data, eval_data = _build_data(config)
@@ -177,6 +181,7 @@ def run(config: SimConfig) -> RunResult:
     reputation_trace: list[dict[ClientId, float]] = []
 
     for t in range(config.rounds):
+        updates: dict[ClientId, ClientUpdate] = {}
         if config.reputation.enabled:
             # Never below the gate's own fallback of 3, so runs that already
             # succeeded keep their participants and their bytes.
@@ -188,51 +193,40 @@ def run(config: SimConfig) -> RunResult:
 
         # One Rng.streams call per purpose seeds the round's streams; each is
         # in the state Rng(seed, substream(purpose, t, cid)) would give.
-        attackers = [c for c in participants if c in malicious] if model_attack else []
-        poison_ids = [substream(STREAM_POISON, t, c) for c in attackers]
-        poison_rngs = dict(zip(attackers, Rng.streams(config.seed, poison_ids)))
+        # Phase A: every participant trains; a diverged one is left out.
         train_ids = [substream(STREAM_TRAIN, t, c) for c in participants]
-        train_rngs = Rng.streams(config.seed, train_ids)
-        updates = []
-        diverged: list[ClientId] = []
-        for cid, rng_train in zip(participants, train_rngs):
+        for cid, rng in zip(participants, Rng.streams(config.seed, train_ids)):
             try:
-                upd = local_train(params, shards[cid], config.train, rng_train)
+                updates[cid] = local_train(params, shards[cid], config.train, rng)
             except TrainingDivergedError:
-                diverged.append(cid)
-                continue
-            if cid in poison_rngs:
-                try:
-                    upd = poison_update(upd, config.malicious, poison_rngs[cid])
-                except ValueError:
-                    # Hostile numerics: treat a non-finite poisoned update
-                    # like a diverged client.
-                    diverged.append(cid)
-                    continue
-            with np.errstate(over="ignore"):
-                sq_norm = float(np.dot(upd.delta.values, upd.delta.values))
-            if not math.isfinite(sq_norm):
-                # Finite values can still overflow distance arithmetic;
-                # such updates are unusable for any aggregator.
-                diverged.append(cid)
-                continue
-            updates.append(upd)
+                pass
+        # Phase B: each attacker that trained poisons its own update; one
+        # whose poisoned update is not finite is left out too.
+        attackers = [c for c in updates if c in malicious] if model_attack else []
+        poison_ids = [substream(STREAM_POISON, t, c) for c in attackers]
+        for cid, rng in zip(attackers, Rng.streams(config.seed, poison_ids)):
+            try:
+                updates[cid] = poison_update(updates[cid], config.malicious, rng)
+            except ValueError:
+                del updates[cid]
 
         if len(updates) < needed:
             raise EngineError(
                 f"round {t}: {len(updates)} usable updates, {agg.name} needs {needed}"
             )
 
-        indicators_log.append(compute_indicators(updates, params, reputation))
-        decision, pid_state = aggregate(agg.name, agg.params, updates, pid_state)
-        if diverged:
-            excluded = tuple(sorted(set(decision.excluded) | set(diverged)))
-            decision = replace(decision, excluded=excluded)
-        decisions.append(decision)
-
-        # The one and only mutation of the global model.
-        params = params + decision.delta
+        indicators_log.append(compute_indicators(updates.values(), params, reputation))
+        try:
+            decision, pid_state = aggregate(agg.name, agg.params, updates.values(), pid_state)
+            # The one and only mutation of the global model.
+            params = params + decision.delta
+        except ValueError:
+            raise EngineError(f"round {t}: {agg.name} gave a model that is not finite") from None
         param_trace.append(params)
+        # A client left out of updates is excluded as well.
+        excluded = tuple(sorted(participant_set.difference(decision.included)))
+        decision = replace(decision, excluded=excluded)
+        decisions.append(decision)
 
         if config.reputation.enabled:
             reputation = update_reputation(reputation, decision)
@@ -247,13 +241,12 @@ def run(config: SimConfig) -> RunResult:
         objective = ledger.entries[-1].objective
 
         # Defence quality is scored only on the updates the aggregator saw: a
-        # diverged client stays in excluded_ids but is no true or false positive.
-        excluded_set = set(decision.excluded)
-        judged = participant_set.difference(diverged)
-        tp = sum(1 for c in judged if c in malicious and c in excluded_set)
-        fp = sum(1 for c in judged if c not in malicious and c in excluded_set)
-        fn = sum(1 for c in judged if c in malicious and c not in excluded_set)
-        tn = sum(1 for c in judged if c not in malicious and c not in excluded_set)
+        # client left out above stays in excluded_ids but is no true or false positive.
+        passed = set(decision.included)
+        caught = updates.keys() - passed
+        tp = len(caught & malicious)
+        fn = len(passed & malicious)
+        fp, tn = len(caught) - tp, len(passed) - fn
         excl_accuracy, excl_precision, excl_recall = confusion_rates(tp, fp, tn, fn)
 
         metrics.append(
@@ -268,7 +261,7 @@ def run(config: SimConfig) -> RunResult:
                 excl_accuracy=excl_accuracy,
                 excl_precision=excl_precision,
                 excl_recall=excl_recall,
-                excluded_ids=tuple(sorted(excluded_set)),
+                excluded_ids=excluded,
                 non_participants=non_participants,
                 cost=cost,
                 overhead=overhead,
@@ -378,9 +371,23 @@ def sweep_summary_csv(rows: list[SweepRow]) -> str:
     return _to_csv(_SWEEP_COLUMNS, rows)
 
 
-def _check_run_dir_names(param_path: str, values) -> None:
+def _name_max(out_dir: str) -> int:
+    """The longest file name, in bytes, that out_dir's file system takes: asked
+    of out_dir's nearest existing ancestor, else the usual 255."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    try:
+        limit = os.pathconf(path, "PC_NAME_MAX")
+    except (AttributeError, ValueError, OSError):
+        return 255
+    return limit if limit > 0 else 255
+
+
+def _check_run_dir_names(param_path: str, values, out_dir: str) -> None:
     """Each value must name a directory of its own inside the sweep's out_dir."""
     seen: set[str] = set()
+    name_max = _name_max(out_dir)
     for name in map(str, values):
         if name in seen:
             raise ConfigError(param_path, f"sweep value {name!r} repeats a run directory name")
@@ -388,6 +395,8 @@ def _check_run_dir_names(param_path: str, values) -> None:
             sep in name for sep in ("/", os.sep, os.altsep, "\0") if sep
         ):
             raise ConfigError(param_path, f"sweep value {name!r} cannot name a run directory")
+        if len(os.fsencode(name)) > name_max:
+            raise ConfigError(param_path, f"sweep value {name!r} is over {name_max} bytes long")
         seen.add(name)
 
 
@@ -402,7 +411,7 @@ def sweep(
     if not values:
         raise ConfigError(param_path, "no sweep values given")
     if out_dir is not None:
-        _check_run_dir_names(param_path, values)
+        _check_run_dir_names(param_path, values, out_dir)
     base = config.to_dict()
     # Every value is validated before any runs, so a bad one leaves no output.
     configs = [build_config(set_by_path(base, param_path, value)) for value in values]

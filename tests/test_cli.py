@@ -86,11 +86,13 @@ class TestRunCommand:
         assert "\n" not in err.strip()
 
     def test_too_few_usable_updates_exits_3(self, tmp_path, capsys):
-        # One diverged client leaves 7 updates; multi_krum with f=1, m=7 needs 8.
+        # Client 0's noise overflows to a non-finite update, which leaves 7
+        # updates; multi_krum with f=1, m=7 needs 8.
         cfg = {
             "num_clients": 8,
             "rounds": 3,
-            "malicious": {"kind": "scale", "magnitude": 1e308, "targets": [0]},
+            "dataset": {"features": 64},
+            "malicious": {"kind": "gaussian_noise", "magnitude": 1e308, "targets": [0]},
             "aggregator": {"name": "multi_krum", "params": {"byzantine_f": 1, "multi_krum_m": 7}},
         }
         cfg_path = write_config(tmp_path, cfg)
@@ -99,6 +101,19 @@ class TestRunCommand:
         assert code == 3
         assert err.startswith("error:")
         assert "\n" not in err.strip()
+
+    def test_model_that_overflows_exits_3_naming_the_round(self, tmp_path, capsys):
+        # Updates scaled by 1e306 stay finite, but fedavg's weighted sum of
+        # them does not.
+        cfg = json.loads((ROOT / "configs" / "default.json").read_text())
+        cfg.update(rounds=2)
+        cfg["aggregator"] = {"name": "fedavg", "params": {}}
+        cfg["malicious"] = {"kind": "scale", "magnitude": 1e306, "targets": [0, 1, 2, 3]}
+        cfg_path = write_config(tmp_path, cfg)
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: round 0: fedavg gave a model that is not finite\n"
 
     def test_missing_config_exits_4(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -216,6 +231,7 @@ class TestSweepCommand:
         [
             ("../escaped,x", "cannot name a run directory"),
             ("x,x", "repeats a run directory name"),
+            pytest.param("x," + "a" * 300, "bytes long", id="name-too-long"),
         ],
     )
     def test_value_that_is_no_run_directory_name_writes_nothing(

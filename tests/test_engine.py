@@ -130,9 +130,11 @@ class TestRun:
         assert len(winners) == 0
 
     def test_diverged_client_is_force_excluded(self):
-        # an absurd scale attack overflows the poisoned update to non-finite
+        # noise of stddev 1e308 overflows some of the 195 values to inf
         conf = cfg(
-            malicious={"kind": "scale", "magnitude": 1e308, "targets": [3]},
+            malicious={"kind": "gaussian_noise", "magnitude": 1e308, "targets": [3]},
+            dataset={"type": "synthetic", "classes": 3, "features": 64,
+                     "samples_per_class": 40, "cluster_spread": 0.5},
             aggregator={"name": "fedavg", "params": {}},
         )
         result = run(conf)
@@ -225,13 +227,14 @@ class TestRun:
             run(conf)
 
     def test_diverged_client_under_multi_krum_raises_engine_error(self):
-        # multi_krum needs max(2f+3, m+f) = 8 updates; one diverged client
+        # multi_krum needs max(2f+3, m+f) = 8 updates; one non-finite update
         # leaves 7, which must stop the run before multi_krum itself rejects m.
         conf = build_config(
             {
                 "num_clients": 8,
                 "rounds": 3,
-                "malicious": {"kind": "scale", "magnitude": 1e308, "targets": [0]},
+                "dataset": {"features": 64},
+                "malicious": {"kind": "gaussian_noise", "magnitude": 1e308, "targets": [0]},
                 "aggregator": {"name": "multi_krum", "params": {"byzantine_f": 1, "multi_krum_m": 7}},
             }
         )
@@ -275,7 +278,8 @@ class TestDivergedClientsAreNotScored:
         raw = json.loads(DEFAULT_CONFIG.read_text())
         raw.update(num_clients=8, rounds=2)
         raw["aggregator"] = {"name": "fedavg", "params": {}}
-        raw["malicious"] = {"kind": "scale", "magnitude": 1e308, "targets": [2, 5]}
+        raw["dataset"]["features"] = 64
+        raw["malicious"] = {"kind": "gaussian_noise", "magnitude": 1e308, "targets": [2, 5]}
         return build_config(raw)
 
     def test_fedavg_reports_no_true_positives(self):
@@ -292,6 +296,77 @@ class TestDivergedClientsAreNotScored:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_attack_raises_no_warning(self):
         run(self.overflowing_fedavg())
+
+
+class TestTheDefenceSeesEveryFiniteUpdate:
+    """An update counts as usable when its values are finite, however large:
+    only the aggregator decides whether a huge update is excluded."""
+
+    @staticmethod
+    def scaled_attack(aggregator):
+        # Updates scaled by 1e154 are finite, but distances between them
+        # overflow to inf.
+        raw = json.loads(DEFAULT_CONFIG.read_text())
+        raw.update(rounds=2, aggregator=aggregator)
+        raw["malicious"] = {"kind": "scale", "magnitude": 1e154, "targets": [0, 1, 2, 3]}
+        return build_config(raw)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bulyan_excludes_every_attacker(self):
+        result = run(self.scaled_attack({"name": "bulyan", "params": {"byzantine_f": 4}}))
+        assert [(m.tp, m.fn) for m in result.metrics] == [(4, 0), (4, 0)]
+        assert [m.excluded_ids for m in result.metrics] == [
+            (0, 1, 2, 3, 4, 5, 11, 16),
+            (0, 1, 2, 3, 4, 8, 10, 18),
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    def test_geomedian_ends_with_a_finite_model(self):
+        result = run(self.scaled_attack({"name": "geomedian", "params": {}}))
+        assert len(result.metrics) == 2
+        assert all(d.info["converged"] for d in result.decisions)
+        assert np.all(np.isfinite(result.final_params.values))
+
+
+class TestRoundPhases:
+    """Every participant trains before any attacker poisons its update."""
+
+    def test_everyone_trains_before_anyone_poisons(self, monkeypatch):
+        from fedwatch import engine
+
+        events = []
+
+        def record(name, seen):
+            """Wrap engine.<name>; log (name, seen(args, result)) per call."""
+            original = getattr(engine, name)
+
+            def wrapped(*args):
+                result = original(*args)
+                events.append((name, seen(args, result)))
+                return result
+
+            monkeypatch.setattr(engine, name, wrapped)
+
+        record("local_train", lambda args, trained: trained)
+        record("poison_update", lambda args, poisoned: args[0])
+        record("aggregate", lambda args, decision: None)
+        run(cfg(rounds=2, malicious={"kind": "sign_flip", "targets": [1, 4]}))
+
+        rounds, current = [], []
+        for kind, update in events:
+            if kind == "aggregate":
+                rounds.append(current)
+                current = []
+            else:
+                current.append((kind, update))
+        assert len(rounds) == 2 and current == []
+        for calls in rounds:
+            kinds = [kind for kind, _ in calls]
+            assert kinds == ["local_train"] * 8 + ["poison_update"] * 2
+            trained = {u.client: u for kind, u in calls if kind == "local_train"}
+            poisoned = [u for kind, u in calls if kind == "poison_update"]
+            assert [u.client for u in poisoned] == [1, 4]
+            assert all(u is trained[u.client] for u in poisoned)
 
 
 class TestCsvFormat:
@@ -359,7 +434,11 @@ class TestSweep:
             sweep(cfg(), "train.nope", [1.0, 2.0], out_dir=str(tmp_path / "sweep"))
         assert not (tmp_path / "sweep").exists()
 
-    @pytest.mark.parametrize("bad", ["", ".", "..", "a/b", "nul\0byte", "sweep_summary.csv"])
+    @pytest.mark.parametrize("bad", [
+        "", ".", "..", "a/b", "nul\0byte", "sweep_summary.csv",
+        # 200 characters but 400 bytes: over a 255-byte file name limit.
+        pytest.param("é" * 200, id="name-too-long-when-encoded"),
+    ])
     def test_value_that_cannot_name_a_run_directory_is_rejected(self, tmp_path, bad):
         with pytest.raises(ConfigError) as exc:
             sweep(cfg(rounds=1), "description", ["ok", bad], out_dir=str(tmp_path / "sweep"))

@@ -104,8 +104,9 @@ class TestLocalTrain:
     def test_finite_parameters_are_not_divergence(self):
         # One step at lr 1e300 leaves the parameters finite, near 1e300, so
         # training returns a delta although the ridge term of its loss
-        # overflows. The delta's squared norm overflows as well, and that is
-        # what keeps engine.run listing such a client as diverged.
+        # overflows. The delta's squared norm overflows as well; engine.run
+        # still hands such an update to the aggregator, because only
+        # non-finite values make an update unusable.
         ds = Dataset(
             np.asarray([[1.0, 0.5], [-1.0, 0.25], [0.5, -1.0], [-0.5, 1.0]]),
             np.asarray([0, 1, 0, 1]),
