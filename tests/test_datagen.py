@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,38 @@ class TestPartition:
             return float(np.mean(out))
 
         assert mean_entropy(0.1) < mean_entropy(100.0)
+
+    # sha256 over each shard's sha256(indices bytes), in client order.
+    # Data: generate_synthetic(classes, 2, per_class, 1.0, Rng(1, 1));
+    # partition rng: Rng(1, 3).
+    PINNED = [
+        # (mode, alpha, clients, classes, per_class, digest)
+        ("iid", 1.0, 50, 10, 800,
+         "b85cc9fa08424f6f3040f150b6d757d453b735d2c1d47b3a4cadd51519884dcc"),
+        # 30 rows on 7 clients: clients 0 and 1 get the extra rows
+        ("iid", 1.0, 7, 3, 10,
+         "1dbf9c7e55a8de7b3717b4c3f6133a9fb44e6e6038b37a8a04056568ee1af4d1"),
+        # the first Dirichlet trial gives every client a row
+        ("dirichlet", 0.4, 20, 4, 200,
+         "da864f8be11db0d066bc73deced0a4722e767b475886234767098ec9ff4eb9aa"),
+        # four trials leave a client empty, the fifth is accepted
+        ("dirichlet", 0.3, 8, 2, 10,
+         "8f82f57cb4c04d6d4a1085d49642e9025c6799bee96e0ffbccaf85d19b6314d1"),
+        # all 100 trials fail; the fallback moves 5 rows
+        ("dirichlet", 0.1, 10, 3, 5,
+         "0e7eafd03d55905daf8f3b1abb04c534feec7a0d5c1c4cdba10c11d5a433c66a"),
+    ]
+
+    @pytest.mark.parametrize("mode,alpha,clients,classes,per_class,digest", PINNED)
+    def test_pinned_shard_digests(self, mode, alpha, clients, classes, per_class, digest):
+        ds = generate_synthetic(classes, 2, per_class, 1.0, Rng(1, 1))
+        shards = partition(ds, clients, HeterogeneitySpec(mode, alpha), Rng(1, 3))
+        h = hashlib.sha256()
+        for s in shards:
+            assert s.indices.dtype == np.int64
+            assert np.all(np.diff(s.indices) > 0)
+            h.update(hashlib.sha256(s.indices.tobytes()).digest())
+        assert h.hexdigest() == digest
 
     def test_too_many_clients_rejected(self):
         ds = generate_synthetic(2, 2, 3, 0.5, Rng(0))
