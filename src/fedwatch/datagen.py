@@ -122,10 +122,11 @@ def generate_synthetic(
 def load_csv(path: str) -> Dataset:
     """Load a dataset from CSV with header ``f0,...,f{d-1},label``.
 
-    Rejects a malformed header, rows of wrong arity, and non-integer or
-    negative labels.
+    The file is read as UTF-8, with or without a byte-order mark. Rejects a
+    malformed header, rows of wrong arity, non-finite features, and
+    non-integer or negative labels.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -147,6 +148,8 @@ def load_csv(path: str) -> Dataset:
                 label = int(row[d])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed value") from None
+            if not np.isfinite(features[-1]).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
             if label < 0:
                 raise ValueError(f"{path}: line {lineno}: negative label")
             labels.append(label)
@@ -176,11 +179,13 @@ def partition(
 ) -> list[ClientShard]:
     """Split a dataset into per-client shards.
 
-    iid mode shuffles and deals round-robin; dirichlet mode draws per-class
-    client proportions from Dirichlet(alpha) and assigns each class's
-    samples by largest-remainder counts. Every client ends up with at
-    least one sample: the draw is retried up to 100 times, then single
-    samples are moved from the largest shard.
+    Each row gets an owner client, and one stable argsort of the owners
+    gives every client its rows in ascending order. iid mode deals the
+    shuffled rows round-robin. Dirichlet mode draws, class by class, a
+    permutation of the class's rows and client proportions from
+    Dirichlet(alpha), dealt by largest-remainder counts; a draw that leaves
+    a client without rows is retried up to 100 times. Then, while a client
+    has no rows, the lowest empty id takes the largest shard's highest row.
     """
     n = data.num_samples
     if num_clients < 1:
@@ -190,38 +195,27 @@ def partition(
     if spec.mode not in ("iid", "dirichlet"):
         raise ValueError(f"unknown heterogeneity mode {spec.mode!r}")
 
+    owner = np.empty(n, dtype=np.int64)
     if spec.mode == "iid":
-        perm = rng.permutation(n)
-        index_lists = [np.sort(perm[i::num_clients]) for i in range(num_clients)]
+        owner[rng.permutation(n)] = np.arange(n) % num_clients
     else:
         if not spec.dirichlet_alpha > 0:
             raise ValueError(f"dirichlet_alpha must be positive, got {spec.dirichlet_alpha}")
-        classes = np.unique(data.labels)
-        by_class = {int(c): np.flatnonzero(data.labels == c) for c in classes}
+        by_class = [np.flatnonzero(data.labels == c) for c in np.unique(data.labels)]
         alpha = np.full(num_clients, float(spec.dirichlet_alpha))
         for _ in range(100):
-            trial: list[list[int]] = [[] for _ in range(num_clients)]
-            for c in sorted(by_class):
-                idx = by_class[c]
-                shuffled = idx[rng.permutation(len(idx))]
-                counts = _largest_remainder_counts(rng.dirichlet(alpha), len(idx))
-                stops = np.cumsum(counts)
-                start = 0
-                for i in range(num_clients):
-                    trial[i].extend(shuffled[start : stops[i]].tolist())
-                    start = int(stops[i])
-            index_lists = [np.sort(np.asarray(t, dtype=np.int64)) for t in trial]
-            if all(len(ix) for ix in index_lists):
+            trial = [
+                (idx[rng.permutation(len(idx))],
+                 _largest_remainder_counts(rng.dirichlet(alpha), len(idx)))
+                for idx in by_class
+            ]
+            if sum(counts for _, counts in trial).all():
                 break
-        # Fallback: move one sample at a time from the largest shard.
-        while any(len(ix) == 0 for ix in index_lists):
-            empty = min(i for i in range(num_clients) if len(index_lists[i]) == 0)
-            donor = min(range(num_clients), key=lambda i: (-len(index_lists[i]), i))
-            moved = index_lists[donor][-1]
-            index_lists[donor] = index_lists[donor][:-1]
-            index_lists[empty] = np.asarray([moved], dtype=np.int64)
+        for idx, counts in trial:
+            owner[idx] = np.repeat(np.arange(num_clients), counts)
+    # argmin and argmax pick the lowest id among ties
+    while not (sizes := np.bincount(owner, minlength=num_clients)).all():
+        owner[np.flatnonzero(owner == np.argmax(sizes))[-1]] = np.argmin(sizes)
 
-    return [
-        ClientShard(client=i, train=data.subset(ix), indices=ix)
-        for i, ix in enumerate(index_lists)
-    ]
+    rows = np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
+    return [ClientShard(i, data.subset(ix), ix) for i, ix in enumerate(rows)]

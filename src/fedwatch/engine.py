@@ -17,7 +17,7 @@ import json
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -88,7 +88,6 @@ class RunResult:
     indicators: list[TrustIndicators]
     reputation_trace: list[dict[ClientId, float]]
     ledger: ResourceLedger
-    shards: list[ClientShard] = field(repr=False, default_factory=list)
 
 
 def _ratio(num: int, den: int) -> float:
@@ -279,7 +278,6 @@ def run(config: SimConfig) -> RunResult:
         indicators=indicators_log,
         reputation_trace=reputation_trace,
         ledger=ledger,
-        shards=shards,
     )
 
 

@@ -371,7 +371,9 @@ class TestConfigErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("contents", [None, "f0,label\n1.0,0\nabc,1\n"])
+    @pytest.mark.parametrize(
+        "contents", [None, "f0,label\n1.0,0\nabc,1\n", "f0,label\n1.0,0\nnan,1\n"]
+    )
     def test_unreadable_csv_dataset_exits_2(self, tmp_path, capsys, command, contents):
         data = tmp_path / "data.csv"
         if contents is not None:
@@ -383,6 +385,17 @@ class TestConfigErrorPaths:
         assert self.command(command, cfg_path, out) == 2
         assert self.one_error_line(capsys).startswith("error: dataset.csv_path: ")
         assert not out.exists()
+
+    def test_csv_with_bom_runs_like_without(self, tmp_path):
+        text = "f0,label\n" + "".join(f"{i}.0,{i % 2}\n" for i in range(10))
+        outs = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            (tmp_path / f"{name}.csv").write_bytes(text.encode(encoding))
+            dataset = {"type": "csv", "classes": 2, "csv_path": str(tmp_path / f"{name}.csv")}
+            cfg_path = write_config(tmp_path, small_config(dataset=dataset), f"{name}.json")
+            outs.append(tmp_path / name)
+            assert main(["run", "--config", cfg_path, "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
 
 class TestListAggregators:

@@ -193,6 +193,22 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match="line 2"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_rejects_non_finite_feature(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")
+        with pytest.raises(ValueError, match="line 3: non-finite value"):
+            load_csv(str(path))
+
+    def test_reads_utf8_with_or_without_bom(self, tmp_path):
+        text = "f0,f1,label\n0.5,-1.25,0\n2.0,3.5,1\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(text.encode("utf-8-sig"))
+        a, b = load_csv(str(plain)), load_csv(str(bom))
+        assert a.features.tolist() == b.features.tolist() == [[0.5, -1.25], [2.0, 3.5]]
+        assert a.labels.tolist() == b.labels.tolist() == [0, 1]
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("f0,label\n")

@@ -7,7 +7,15 @@ import pytest
 
 from fedwatch.aggregators import AGGREGATORS
 from fedwatch.config import ConfigError, build_config
-from fedwatch.engine import EngineError, confusion_rates, metrics_to_csv, run, sweep
+from fedwatch.engine import (
+    EngineError,
+    _build_data,
+    _prepare_shards,
+    confusion_rates,
+    metrics_to_csv,
+    run,
+    sweep,
+)
 
 
 def cfg(**overrides):
@@ -30,6 +38,12 @@ def cfg(**overrides):
     }
     base.update(overrides)
     return build_config(base)
+
+
+def shards_of(conf):
+    """The shards run trains on, built by the calls run makes itself."""
+    train, _ = _build_data(conf)
+    return _prepare_shards(conf, train)
 
 
 class TestConfusionRates:
@@ -98,11 +112,10 @@ class TestRun:
 
     def test_label_flip_applied_once_before_round_one(self):
         conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [2]})
-        result = run(conf)
         # the poisoned shard should disagree with the source labels
-        shard = next(s for s in result.shards if s.client == 2)
-        clean = run(cfg())  # same seed, no attack: same partition
-        clean_shard = next(s for s in clean.shards if s.client == 2)
+        shard = next(s for s in shards_of(conf) if s.client == 2)
+        clean = cfg()  # same seed, no attack: same partition
+        clean_shard = next(s for s in shards_of(clean) if s.client == 2)
         assert np.array_equal(shard.indices, clean_shard.indices)
         assert not np.array_equal(shard.train.labels, clean_shard.train.labels)
         assert np.array_equal(shard.train.features, clean_shard.train.features)
@@ -174,8 +187,9 @@ class TestRun:
             assert abs(m.objective - (m.global_loss + 0.5 * m.cost + 0.25 * m.overhead)) <= 1e-12
 
     def test_cost_counts_epochs_times_samples(self):
-        result = run(cfg(rounds=1))
-        train_total = sum(s.train.num_samples for s in result.shards)
+        conf = cfg(rounds=1)
+        result = run(conf)
+        train_total = sum(s.train.num_samples for s in shards_of(conf))
         assert result.metrics[0].cost == 2 * train_total
 
     def test_csv_dataset_end_to_end(self, tmp_path):
