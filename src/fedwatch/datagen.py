@@ -13,6 +13,9 @@ from .core import ClientId, Rng
 # linear model can separate them.
 _MIN_SEPARATION = 4.0
 
+# load_csv parses into float64 blocks of about this many bytes each.
+_CSV_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -53,7 +56,7 @@ class ClientShard:
 
     client: ClientId
     train: Dataset
-    indices: np.ndarray  # ascending row indices into the source dataset
+    indices: np.ndarray  # ascending indices of its rows among the training rows
 
 
 @dataclass(frozen=True)
@@ -88,17 +91,28 @@ def _class_means(num_classes: int, num_features: int, cluster_spread: float, rng
     return verts @ frame.T
 
 
+def synthetic_labels(num_classes: int, samples_per_class: int) -> np.ndarray:
+    """The labels of :func:`generate_synthetic`'s rows in generated order:
+    ``samples_per_class`` rows of each class, grouped by class."""
+    return np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+
+
 def generate_synthetic(
     num_classes: int,
     num_features: int,
     samples_per_class: int,
     cluster_spread: float,
     rng: Rng,
+    order: np.ndarray | None = None,
 ) -> Dataset:
     """Isotropic Gaussian clusters, one per class, exactly balanced labels.
 
     Class means come from :func:`_class_means`; all pairs are at least
-    ``4 * cluster_spread`` apart. Rows come out grouped by class.
+    ``4 * cluster_spread`` apart. Rows are generated grouped by class
+    (:func:`synthetic_labels`). With ``order``, a permutation of the
+    generated rows, row i of the result is generated row ``order[i]``: the
+    same bits as ``generate_synthetic(...).subset(order)``, each row
+    written once, straight to its place.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -108,15 +122,26 @@ def generate_synthetic(
         raise ValueError(f"samples_per_class must be >= 1, got {samples_per_class}")
     if not cluster_spread > 0:
         raise ValueError(f"cluster_spread must be positive, got {cluster_spread}")
+    labels = synthetic_labels(num_classes, samples_per_class)
+    n = labels.shape[0]
+    if order is None:
+        order = np.arange(n)
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"order must be a permutation of the {n} generated rows")
+    # generated row g goes to row at[g] of the result
+    at = np.empty(n, dtype=np.int64)
+    at[order] = np.arange(n)
 
     means = _class_means(num_classes, num_features, cluster_spread, rng)
-    blocks = []
-    labels = []
+    features = np.empty((n, num_features))
     for k in range(num_classes):
         noise = rng.standard_normal((samples_per_class, num_features))
-        blocks.append(means[k] + cluster_spread * noise)
-        labels.append(np.full(samples_per_class, k, dtype=np.int64))
-    return Dataset(np.vstack(blocks), np.concatenate(labels))
+        # the two roundings of means[k] + cluster_spread * noise, in place
+        noise *= cluster_spread
+        noise += means[k]
+        features[at[k * samples_per_class : (k + 1) * samples_per_class]] = noise
+    return Dataset(features, labels[order])
 
 
 def load_csv(path: str) -> Dataset:
@@ -124,7 +149,8 @@ def load_csv(path: str) -> Dataset:
 
     The file is read as UTF-8, with or without a byte-order mark. Rejects a
     malformed header, rows of wrong arity, non-finite features, and
-    non-integer or negative labels.
+    non-integer or negative labels. Features go straight into float64
+    blocks of rows, joined once at the end.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -136,7 +162,8 @@ def load_csv(path: str) -> Dataset:
         expected = [f"f{i}" for i in range(d)] + ["label"]
         if d < 1 or header != expected:
             raise ValueError(f"{path}: bad header, expected f0,...,f{{d-1}},label")
-        features = []
+        block_rows = max(1, _CSV_BLOCK_BYTES // (8 * d))
+        blocks = []
         labels = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
@@ -144,18 +171,23 @@ def load_csv(path: str) -> Dataset:
                     f"{path}: line {lineno}: expected {d + 1} fields, got {len(row)}"
                 )
             try:
-                features.append([float(v) for v in row[:d]])
+                values = [float(v) for v in row[:d]]
                 label = int(row[d])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed value") from None
-            if not np.isfinite(features[-1]).all():
+            i = len(labels) % block_rows
+            if i == 0:
+                blocks.append(np.empty((block_rows, d)))
+            blocks[-1][i] = values
+            if not np.isfinite(blocks[-1][i]).all():
                 raise ValueError(f"{path}: line {lineno}: non-finite value")
             if label < 0:
                 raise ValueError(f"{path}: line {lineno}: negative label")
             labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+    blocks[-1] = blocks[-1][: len(labels) - block_rows * (len(blocks) - 1)]
+    return Dataset(np.concatenate(blocks), np.asarray(labels, dtype=np.int64))
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -175,9 +207,10 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
 
 
 def partition(
-    data: Dataset, num_clients: int, spec: HeterogeneitySpec, rng: Rng
-) -> list[ClientShard]:
-    """Split a dataset into per-client shards.
+    labels: np.ndarray, num_clients: int, spec: HeterogeneitySpec, rng: Rng
+) -> list[np.ndarray]:
+    """Deal rows, given by their labels, to clients: each client's ascending
+    row indices, in client order.
 
     Each row gets an owner client, and one stable argsort of the owners
     gives every client its rows in ascending order. iid mode deals the
@@ -187,7 +220,8 @@ def partition(
     a client without rows is retried up to 100 times. Then, while a client
     has no rows, the lowest empty id takes the largest shard's highest row.
     """
-    n = data.num_samples
+    labels = np.asarray(labels)
+    n = labels.shape[0]
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if num_clients > n:
@@ -201,7 +235,7 @@ def partition(
     else:
         if not spec.dirichlet_alpha > 0:
             raise ValueError(f"dirichlet_alpha must be positive, got {spec.dirichlet_alpha}")
-        by_class = [np.flatnonzero(data.labels == c) for c in np.unique(data.labels)]
+        by_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
         alpha = np.full(num_clients, float(spec.dirichlet_alpha))
         for _ in range(100):
             trial = [
@@ -217,5 +251,4 @@ def partition(
     while not (sizes := np.bincount(owner, minlength=num_clients)).all():
         owner[np.flatnonzero(owner == np.argmax(sizes))[-1]] = np.argmin(sizes)
 
-    rows = np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
-    return [ClientShard(i, data.subset(ix), ix) for i, ix in enumerate(rows)]
+    return np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])

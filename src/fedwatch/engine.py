@@ -26,7 +26,14 @@ from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate
 from .attacks import flip_labels, poison_update
 from .config import ConfigError, SimConfig, build_config, eval_split_size, set_by_path
 from .core import ClientId, ClientUpdate, ModelParams, Rng, substream
-from .datagen import ClientShard, Dataset, generate_synthetic, load_csv, partition
+from .datagen import (
+    ClientShard,
+    Dataset,
+    generate_synthetic,
+    load_csv,
+    partition,
+    synthetic_labels,
+)
 from .trainer import TrainingDivergedError, evaluate, local_train
 from .trust import (
     ReputationState,
@@ -103,63 +110,80 @@ def confusion_rates(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, f
     return accuracy, precision, recall
 
 
-def _build_data(config: SimConfig) -> tuple[Dataset, Dataset]:
-    """(train, eval) datasets; the eval split is clean and server-side."""
+def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
+    """(eval, shards): views of one read-only matrix, laid out in one pass.
+
+    The eval rows, clean and server-side, come first; then each client's
+    training rows, one block per client in client order. ``partition`` deals
+    labels only, so every row is placed before any feature is written, and
+    no training matrix is ever held apart from the shards.
+    """
     ds = config.dataset
     if ds.type == "synthetic":
-        full = generate_synthetic(
-            ds.classes,
-            ds.features,
-            ds.samples_per_class,
-            ds.cluster_spread,
-            Rng(config.seed, substream(STREAM_DATA)),
-        )
+        labels = synthetic_labels(ds.classes, ds.samples_per_class)
     else:
         try:
             full = load_csv(ds.csv_path)
         except (OSError, ValueError) as e:
             raise ConfigError("dataset.csv_path", str(e)) from None
-        if int(full.labels.max()) >= ds.classes:
+        labels = full.labels
+        if int(labels.max()) >= ds.classes:
             raise ConfigError(
                 "dataset.classes",
-                f"csv contains label {int(full.labels.max())} >= classes={ds.classes}",
+                f"csv contains label {int(labels.max())} >= classes={ds.classes}",
             )
-    n = full.num_samples
+    n = labels.shape[0]
     n_eval = eval_split_size(n, config.eval_fraction, config.num_clients)
     perm = Rng(config.seed, substream(STREAM_SPLIT)).permutation(n)
     eval_idx = np.sort(perm[:n_eval])
     train_idx = np.sort(perm[n_eval:])
-    return full.subset(train_idx), full.subset(eval_idx)
-
-
-def _prepare_shards(config: SimConfig, train: Dataset) -> list[ClientShard]:
-    shards = partition(
-        train,
+    rows = partition(
+        labels[train_idx],
         config.num_clients,
         config.heterogeneity,
         Rng(config.seed, substream(STREAM_PARTITION)),
     )
+    layout = np.concatenate([eval_idx, train_idx[np.concatenate(rows)]])
+    if ds.type == "synthetic":
+        data = generate_synthetic(
+            ds.classes,
+            ds.features,
+            ds.samples_per_class,
+            ds.cluster_spread,
+            Rng(config.seed, substream(STREAM_DATA)),
+            order=layout,
+        )
+    else:
+        data = full.subset(layout)
+        del full
+    # every shard shares these arrays; a write through one would reach all
+    data.features.flags.writeable = False
+    data.labels.flags.writeable = False
+
+    bounds = np.cumsum([n_eval] + [len(ix) for ix in rows]).tolist()
+    shards = [
+        ClientShard(cid, Dataset(data.features[lo:hi], data.labels[lo:hi]), ix)
+        for cid, (lo, hi, ix) in enumerate(zip(bounds, bounds[1:], rows))
+    ]
     attack = config.malicious
     if attack.kind == "label_flip":
-        # partition returns the shards in client-id order, so shards[cid] is cid's.
         flip_ids = [substream(STREAM_FLIP, 0, c) for c in attack.targets]
         for cid, rng in zip(attack.targets, Rng.streams(config.seed, flip_ids)):
             shard = shards[cid]
             flipped = flip_labels(shard.train, attack.fraction, config.dataset.classes, rng)
             shards[cid] = ClientShard(cid, flipped, shard.indices)
-    return shards
+    return Dataset(data.features[:n_eval], data.labels[:n_eval]), shards
 
 
 @np.errstate(over="ignore", invalid="ignore")  # huge finite updates overflow distances to inf
 def run(config: SimConfig) -> RunResult:
     """Execute every round and return the full trajectory."""
-    train_data, eval_data = _build_data(config)
-    shards = _prepare_shards(config, train_data)
+    eval_data, shards = _build_data(config)
     all_clients = tuple(range(config.num_clients))
     malicious = set(config.malicious.targets)
     model_attack = config.malicious.kind != "label_flip" and bool(config.malicious.targets)
 
-    shape = (config.dataset.classes, train_data.num_features)
+    shape = (config.dataset.classes, eval_data.num_features)
     params = ModelParams.zeros(shape)
     reputation = ReputationState.fresh(
         all_clients,

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fedwatch.datagen import (
     generate_synthetic,
     load_csv,
     partition,
+    synthetic_labels,
 )
 from fedwatch.trainer import evaluate, loss_and_gradient
 
@@ -64,11 +66,49 @@ def test_invalid_sizes_rejected():
         generate_synthetic(2, 3, 10, 0.0, Rng(0))
 
 
+def test_labels_come_grouped_by_class():
+    ds = generate_synthetic(3, 2, 4, 0.5, Rng(0))
+    assert np.array_equal(ds.labels, synthetic_labels(3, 4))
+    assert synthetic_labels(3, 4).tolist() == [0] * 4 + [1] * 4 + [2] * 4
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    classes=st.integers(2, 6),
+    features=st.integers(1, 7),
+    per_class=st.integers(1, 20),
+    spread=st.sampled_from([0.25, 1.0, 3.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_order_places_generated_rows(classes, features, per_class, spread, seed):
+    # row i of the ordered result is generated row order[i], bit for bit
+    order = np.random.default_rng(seed).permutation(classes * per_class)
+    plain = generate_synthetic(classes, features, per_class, spread, Rng(seed, 2))
+    placed = generate_synthetic(classes, features, per_class, spread, Rng(seed, 2), order=order)
+    expected = plain.subset(order)
+    assert placed.features.tobytes() == expected.features.tobytes()
+    assert placed.labels.tobytes() == expected.labels.tobytes()
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 2],  # too short
+    [0, 1, 2, 3, 4],  # too long
+    [0, 1, 1, 3],  # a repeat
+    [0, 1, 2, 4],  # out of range
+    [-1, 0, 1, 2],
+    [0.0, 1.0, 2.0, 3.0],  # not integers
+    [[0, 1], [2, 3]],
+])
+def test_order_must_be_a_permutation(order):
+    with pytest.raises(ValueError, match="permutation"):
+        generate_synthetic(2, 3, 2, 0.5, Rng(0), order=np.asarray(order))
+
+
 class TestPartition:
     def test_iid_even_division(self):
         ds = generate_synthetic(4, 2, 25, 0.5, Rng(3))
-        shards = partition(ds, 20, HeterogeneitySpec("iid"), Rng(3, 1))
-        assert [s.train.num_samples for s in shards] == [5] * 20
+        rows = partition(ds.labels, 20, HeterogeneitySpec("iid"), Rng(3, 1))
+        assert [len(ix) for ix in rows] == [5] * 20
 
     @settings(max_examples=60, derandomize=True)
     @given(
@@ -79,26 +119,19 @@ class TestPartition:
     )
     def test_is_a_set_partition(self, seed, num_clients, mode, alpha):
         ds = generate_synthetic(3, 2, 8, 0.5, Rng(seed))
-        shards = partition(ds, num_clients, HeterogeneitySpec(mode, alpha), Rng(seed, 1))
-        all_idx = np.concatenate([s.indices for s in shards])
+        rows = partition(ds.labels, num_clients, HeterogeneitySpec(mode, alpha), Rng(seed, 1))
+        all_idx = np.concatenate(rows)
         assert len(all_idx) == ds.num_samples
         assert len(np.unique(all_idx)) == ds.num_samples
-        assert all(len(s.indices) >= 1 for s in shards)
-        assert all(s.client == i for i, s in enumerate(shards))
-
-    def test_shard_rows_match_indices(self):
-        ds = generate_synthetic(3, 4, 10, 0.5, Rng(5))
-        shards = partition(ds, 4, HeterogeneitySpec("dirichlet", 0.5), Rng(5, 1))
-        for s in shards:
-            assert np.array_equal(s.train.features, ds.features[s.indices])
-            assert np.array_equal(s.train.labels, ds.labels[s.indices])
+        assert all(len(ix) >= 1 for ix in rows)
+        assert len(rows) == num_clients
 
     def test_deterministic(self):
         ds = generate_synthetic(4, 3, 30, 0.5, Rng(9))
-        a = partition(ds, 7, HeterogeneitySpec("dirichlet", 0.3), Rng(9, 2))
-        b = partition(ds, 7, HeterogeneitySpec("dirichlet", 0.3), Rng(9, 2))
+        a = partition(ds.labels, 7, HeterogeneitySpec("dirichlet", 0.3), Rng(9, 2))
+        b = partition(ds.labels, 7, HeterogeneitySpec("dirichlet", 0.3), Rng(9, 2))
         for x, y in zip(a, b):
-            assert np.array_equal(x.indices, y.indices)
+            assert np.array_equal(x, y)
 
     def test_dirichlet_alpha_controls_label_skew(self):
         # Lower alpha concentrates classes: mean per-shard label entropy drops.
@@ -106,16 +139,16 @@ class TestPartition:
             out = []
             for seed in range(10):
                 ds = generate_synthetic(4, 2, 50, 0.5, Rng(seed))
-                shards = partition(ds, 8, HeterogeneitySpec("dirichlet", alpha), Rng(seed, 1))
-                for s in shards:
-                    counts = np.bincount(s.train.labels, minlength=4)
+                rows = partition(ds.labels, 8, HeterogeneitySpec("dirichlet", alpha), Rng(seed, 1))
+                for ix in rows:
+                    counts = np.bincount(ds.labels[ix], minlength=4)
                     p = counts[counts > 0] / counts.sum()
                     out.append(float(-(p * np.log(p)).sum()))
             return float(np.mean(out))
 
         assert mean_entropy(0.1) < mean_entropy(100.0)
 
-    # sha256 over each shard's sha256(indices bytes), in client order.
+    # sha256 over each client's sha256(row indices bytes), in client order.
     # Data: generate_synthetic(classes, 2, per_class, 1.0, Rng(1, 1));
     # partition rng: Rng(1, 3).
     PINNED = [
@@ -139,18 +172,18 @@ class TestPartition:
     @pytest.mark.parametrize("mode,alpha,clients,classes,per_class,digest", PINNED)
     def test_pinned_shard_digests(self, mode, alpha, clients, classes, per_class, digest):
         ds = generate_synthetic(classes, 2, per_class, 1.0, Rng(1, 1))
-        shards = partition(ds, clients, HeterogeneitySpec(mode, alpha), Rng(1, 3))
+        rows = partition(ds.labels, clients, HeterogeneitySpec(mode, alpha), Rng(1, 3))
         h = hashlib.sha256()
-        for s in shards:
-            assert s.indices.dtype == np.int64
-            assert np.all(np.diff(s.indices) > 0)
-            h.update(hashlib.sha256(s.indices.tobytes()).digest())
+        for ix in rows:
+            assert ix.dtype == np.int64
+            assert np.all(np.diff(ix) > 0)
+            h.update(hashlib.sha256(ix.tobytes()).digest())
         assert h.hexdigest() == digest
 
     def test_too_many_clients_rejected(self):
         ds = generate_synthetic(2, 2, 3, 0.5, Rng(0))
         with pytest.raises(ValueError):
-            partition(ds, 7, HeterogeneitySpec("iid"), Rng(0, 1))
+            partition(ds.labels, 7, HeterogeneitySpec("iid"), Rng(0, 1))
 
     def test_largest_remainder_counts(self):
         # dirichlet draws sum to one; rounded counts must sum exactly
@@ -208,6 +241,37 @@ class TestCsvLoader:
         a, b = load_csv(str(plain)), load_csv(str(bom))
         assert a.features.tolist() == b.features.tolist() == [[0.5, -1.25], [2.0, 3.5]]
         assert a.labels.tolist() == b.labels.tolist() == [0, 1]
+
+    def test_peak_memory_is_near_the_features(self, tmp_path):
+        # rows go into float64 blocks, not a Python float per value
+        n, d = 4000, 64
+        x = np.random.default_rng(0).normal(size=(n, d))
+        path = tmp_path / "big.csv"
+        header = ",".join([f"f{i}" for i in range(d)] + ["label"])
+        rows = (",".join(map(repr, x[i].tolist())) + f",{i % 5}" for i in range(n))
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.tobytes() == x.tobytes()
+        assert peak <= 2.5 * x.nbytes
+
+    def test_errors_name_their_line_past_the_first_block(self, tmp_path):
+        # d = 2 gives blocks of 16384 rows; line 20,002 is in the second
+        path = tmp_path / "bad.csv"
+        good = "".join(f"{i}.5,1.0,{i % 3}\n" for i in range(20_000))
+        for bad, message in [("1.0,nan,0", "non-finite value"), ("1.0,2.0,-1", "negative label"),
+                             ("1.0,x,0", "malformed value"), ("1.0,0", "expected 3 fields")]:
+            path.write_text("f0,f1,label\n" + good + bad + "\n")
+            with pytest.raises(ValueError, match=f"line 20002: {message}"):
+                load_csv(str(path))
+        path.write_text("f0,f1,label\n" + good)
+        ds = load_csv(str(path))
+        assert ds.features[:, 0].tolist() == [i + 0.5 for i in range(20_000)]
+        assert ds.labels.tolist() == [i % 3 for i in range(20_000)]
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,16 +1,20 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fedwatch.aggregators import AGGREGATORS
-from fedwatch.config import ConfigError, build_config
+from fedwatch.config import ConfigError, build_config, eval_split_size
+from fedwatch.core import Rng, substream
+from fedwatch.datagen import generate_synthetic, load_csv
 from fedwatch.engine import (
+    STREAM_DATA,
+    STREAM_SPLIT,
     EngineError,
     _build_data,
-    _prepare_shards,
     confusion_rates,
     metrics_to_csv,
     run,
@@ -42,8 +46,7 @@ def cfg(**overrides):
 
 def shards_of(conf):
     """The shards run trains on, built by the calls run makes itself."""
-    train, _ = _build_data(conf)
-    return _prepare_shards(conf, train)
+    return _build_data(conf)[1]
 
 
 class TestConfusionRates:
@@ -257,6 +260,91 @@ class TestRun:
 
 
 DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+
+class TestDataLayout:
+    """Eval and every shard are views of one read-only matrix: the eval rows
+    first, then each client's rows, one block per client in client order."""
+
+    @staticmethod
+    def csv_conf(tmp_path, **overrides):
+        rng = np.random.default_rng(1)
+        lines = ["f0,f1,f2,label"]
+        lines += [",".join(map(repr, rng.normal(size=3).tolist())) + f",{i % 3}" for i in range(90)]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return cfg(dataset={"type": "csv", "classes": 3, "csv_path": str(path)}, **overrides)
+
+    @staticmethod
+    def split_oracle(conf):
+        """(train, eval) as a separate generate, split and subset would give."""
+        ds = conf.dataset
+        if ds.type == "synthetic":
+            full = generate_synthetic(
+                ds.classes, ds.features, ds.samples_per_class, ds.cluster_spread,
+                Rng(conf.seed, substream(STREAM_DATA)),
+            )
+        else:
+            full = load_csv(ds.csv_path)
+        n = full.num_samples
+        n_eval = eval_split_size(n, conf.eval_fraction, conf.num_clients)
+        perm = Rng(conf.seed, substream(STREAM_SPLIT)).permutation(n)
+        return full.subset(np.sort(perm[n_eval:])), full.subset(np.sort(perm[:n_eval]))
+
+    CONFIGS = {
+        "iid": {},
+        "dirichlet": {"heterogeneity": {"mode": "dirichlet", "dirichlet_alpha": 0.3}},
+        "label_flip": {"malicious": {"kind": "label_flip", "fraction": 0.5, "targets": [1, 4]}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS) + ["csv"])
+    def test_eval_and_shards_share_one_read_only_matrix(self, name, tmp_path):
+        overrides = self.CONFIGS.get(name, {})
+        conf = self.csv_conf(tmp_path) if name == "csv" else cfg(**overrides)
+        eval_data, shards = _build_data(conf)
+        features, labels = eval_data.features.base, eval_data.labels.base
+        lo = eval_data.num_samples
+        assert np.shares_memory(eval_data.features, features[:lo])
+        for s in shards:
+            hi = lo + s.train.num_samples
+            assert s.train.features.base is features
+            assert np.shares_memory(s.train.features, features[lo:hi])
+            assert not s.train.features.flags.writeable
+            if s.client not in conf.malicious.targets:
+                assert np.shares_memory(s.train.labels, labels[lo:hi])
+                assert not s.train.labels.flags.writeable
+            lo = hi
+        assert lo == features.shape[0] == labels.shape[0]
+        assert not features.flags.writeable and not labels.flags.writeable
+        with pytest.raises(ValueError):
+            shards[0].train.features[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["iid", "dirichlet", "csv"])
+    def test_shard_rows_match_indices(self, name, tmp_path):
+        conf = self.csv_conf(tmp_path) if name == "csv" else cfg(**self.CONFIGS[name])
+        train, eval_oracle = self.split_oracle(conf)
+        eval_data, shards = _build_data(conf)
+        assert eval_data.features.tobytes() == eval_oracle.features.tobytes()
+        assert np.array_equal(eval_data.labels, eval_oracle.labels)
+        for s in shards:
+            assert s.train.features.tobytes() == train.features[s.indices].tobytes()
+            assert np.array_equal(s.train.labels, train.labels[s.indices])
+
+    def test_data_step_peak_is_under_one_and_a_half_features(self):
+        conf = cfg(num_clients=10, dataset={
+            "type": "synthetic", "classes": 10, "features": 64,
+            "samples_per_class": 1000, "cluster_spread": 0.5,
+        })
+        feature_bytes = 10 * 1000 * 64 * 8
+        _build_data(conf)
+        tracemalloc.start()
+        try:
+            data = _build_data(conf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data[0].num_samples + sum(s.train.num_samples for s in data[1]) == 10_000
+        assert peak <= 1.5 * feature_bytes
 
 
 class TestGateFallback:
