@@ -17,7 +17,7 @@ machine, go to ``BENCH_scale.json`` at the repository root.
 
 Usage: PYTHONPATH=src python scripts/bench_scale.py [--n 200,1000,2000,5000]
                                                 [--aggregators fedavg,sigma_pid,krum,bulyan]
-                                                [--bulyan-max-n 2000] [--out BENCH_scale.json]
+                                                [--out BENCH_scale.json]
 """
 
 import argparse
@@ -36,6 +36,7 @@ from fedwatch import engine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROUNDS = 2
+BULYAN_MAX_N = 2000
 # engine names timed in the child; engine.run's own time is "run"
 PHASES = (
     "generate_synthetic", "partition", "flip_labels", "local_train", "poison_update",
@@ -113,7 +114,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--n", default="200,1000,2000,5000", help="client counts, comma-separated")
     parser.add_argument("--aggregators", default="fedavg,sigma_pid,krum,bulyan")
-    parser.add_argument("--bulyan-max-n", type=int, default=2000, help="skip bulyan above this n")
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     parser.add_argument("--cell", help=argparse.SUPPRESS)  # "n,aggregator": run one, print JSON
     args = parser.parse_args(argv)
@@ -130,8 +130,8 @@ def main(argv=None) -> int:
     for n in sizes:
         for aggregator in names:
             row = {"n": n, "aggregator": aggregator}
-            if aggregator == "bulyan" and n > args.bulyan_max_n:
-                rows.append({**row, "skipped": f"bulyan above n = {args.bulyan_max_n}"})
+            if aggregator == "bulyan" and n > BULYAN_MAX_N:
+                rows.append({**row, "skipped": f"bulyan above n = {BULYAN_MAX_N}"})
                 print(f"{aggregator:<10} {n:>5} {'skipped':>8}")
                 continue
             row.update(measure(n, aggregator))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import array
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +14,6 @@ from .core import ClientId, Rng
 # Class means are pushed at least this many cluster widths apart so a
 # linear model can separate them.
 _MIN_SEPARATION = 4.0
-
-# load_csv parses into float64 blocks of about this many bytes each.
-_CSV_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +148,8 @@ def load_csv(path: str) -> Dataset:
 
     The file is read as UTF-8, with or without a byte-order mark. Rejects a
     malformed header, rows of wrong arity, non-finite features, and
-    non-integer or negative labels. Features go straight into float64
-    blocks of rows, joined once at the end.
+    non-integer or negative labels. Features go straight into one growable
+    float64 buffer, which becomes the feature matrix without a copy.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -162,8 +161,7 @@ def load_csv(path: str) -> Dataset:
         expected = [f"f{i}" for i in range(d)] + ["label"]
         if d < 1 or header != expected:
             raise ValueError(f"{path}: bad header, expected f0,...,f{{d-1}},label")
-        block_rows = max(1, _CSV_BLOCK_BYTES // (8 * d))
-        blocks = []
+        feats = array.array("d")
         labels = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 1:
@@ -175,19 +173,16 @@ def load_csv(path: str) -> Dataset:
                 label = int(row[d])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed value") from None
-            i = len(labels) % block_rows
-            if i == 0:
-                blocks.append(np.empty((block_rows, d)))
-            blocks[-1][i] = values
-            if not np.isfinite(blocks[-1][i]).all():
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: line {lineno}: non-finite value")
             if label < 0:
                 raise ValueError(f"{path}: line {lineno}: negative label")
+            feats.extend(values)
             labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")
-    blocks[-1] = blocks[-1][: len(labels) - block_rows * (len(blocks) - 1)]
-    return Dataset(np.concatenate(blocks), np.asarray(labels, dtype=np.int64))
+    features = np.frombuffer(feats).reshape(-1, d)
+    return Dataset(features, np.asarray(labels, dtype=np.int64))
 
 
 def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:

@@ -15,8 +15,9 @@ def load_script():
 def test_smoke_one_row_per_cell_with_phases_and_rss(tmp_path, capsys):
     # sizes are tiny and no timing is asserted: this checks the script runs
     script = load_script()
+    script.BULYAN_MAX_N = 5
     out = tmp_path / "BENCH_scale.json"
-    argv = ["--n", "5,6", "--aggregators", "fedavg,bulyan", "--bulyan-max-n", "5", "--out", str(out)]
+    argv = ["--n", "5,6", "--aggregators", "fedavg,bulyan", "--out", str(out)]
     assert script.main(argv) == 0
     report = json.loads(out.read_text())
     assert report["rounds"] == 2

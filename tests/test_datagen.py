@@ -243,7 +243,7 @@ class TestCsvLoader:
         assert a.labels.tolist() == b.labels.tolist() == [0, 1]
 
     def test_peak_memory_is_near_the_features(self, tmp_path):
-        # rows go into float64 blocks, not a Python float per value
+        # rows go into one float64 buffer, not a Python float per value
         n, d = 4000, 64
         x = np.random.default_rng(0).normal(size=(n, d))
         path = tmp_path / "big.csv"
@@ -260,7 +260,7 @@ class TestCsvLoader:
         assert peak <= 2.5 * x.nbytes
 
     def test_errors_name_their_line_past_the_first_block(self, tmp_path):
-        # d = 2 gives blocks of 16384 rows; line 20,002 is in the second
+        # line 20,002 comes long after the feature buffer first grows
         path = tmp_path / "bad.csv"
         good = "".join(f"{i}.5,1.0,{i % 3}\n" for i in range(20_000))
         for bad, message in [("1.0,nan,0", "non-finite value"), ("1.0,2.0,-1", "negative label"),
