@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -298,6 +300,20 @@ class TestGeomedian:
             d = geomedian(ups, weiszfeld_tol=1e-12, weiszfeld_max_iters=200_000)
             ref = geomedian_grid_2d(pts, w)
             assert np.max(np.abs(d.delta.values[:2] - ref)) <= 1e-4
+
+    def test_overflowing_mean_distance_starts_from_the_median(self):
+        # every distance from the weighted mean overflows, so a Weiszfeld
+        # step from it would weigh every row 0 and give NaN; from the
+        # coordinate median only the far row's distance overflows
+        rows = Rng(131).standard_normal((5, 4))
+        rows[3] *= 1e160
+        ups = [upd(i, r, num_samples=i + 1, shape=(1, 3)) for i, r in enumerate(rows)]
+        with np.errstate(over="ignore"):
+            d = geomedian(ups)
+        assert d.info == {"converged": True, "iterations": 203}
+        assert hashlib.sha256(d.delta.values.tobytes()).hexdigest() == (
+            "703939f022883dfe2fec634511401caff1d0d9e4d3a8363f7366cf5c677178b0"
+        )
 
     def test_non_convergence_flagged_not_raised(self):
         # asymmetric points: the first iterate moves, so one iteration
