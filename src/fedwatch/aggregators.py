@@ -107,16 +107,32 @@ def _decision(ups: list[ClientUpdate], keep, delta, overhead_ops: int,
     )
 
 
+def _sorted_median(s: np.ndarray) -> np.ndarray:
+    """``numpy.median(x, axis=0)`` from ``s = np.sort(x, axis=0)``.
+
+    The middle row, or for an even count (s[h-1] + s[h]) / 2, the sum and
+    divide that ``np.mean`` does over two rows; NaN in every column whose
+    last sorted value is NaN, since ``np.sort`` puts NaN last. One sort
+    costs a third to a fifth of numpy's per-column partition here. The
+    values equal numpy's, but not always their bytes: a zero median may
+    carry the other sign. Every caller feeds ``x - median`` to a norm or an
+    ``abs``, or replaces it after one step, where that sign cannot show.
+    """
+    h = s.shape[0] // 2
+    med = s[h] if s.shape[0] % 2 else (s[h - 1] + s[h]) / 2
+    return np.where(np.isnan(s[-1]), np.nan, med)
+
+
 def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Each row's L2 distance to the coordinate-wise median of the rows.
 
     Returns (distances, median distance, scale), where scale is the MAD of
     the distances times 1.4826, floored at 1e-9.
     """
-    reference = np.median(mat, axis=0)
+    reference = _sorted_median(np.sort(mat, axis=0))
     dists = np.linalg.norm(mat - reference, axis=1)
-    med = float(np.median(dists))
-    mad = float(np.median(np.abs(dists - med)))
+    med = float(_sorted_median(np.sort(dists)))
+    mad = float(_sorted_median(np.sort(np.abs(dists - med))))
     return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
 
 
@@ -282,9 +298,11 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     the max(|R|-f-2, 0) nearest peers within R), moving each winner into S,
     until |S| = n-2f. Aggregation: per coordinate, take the median of S and
     average the n-4f values closest to it, breaking distance ties by the
-    smaller value and then the lower client id. Each coordinate's kept
-    values are added one by one in that order, closest to the median
-    first, starting from 0.0. Requires n >= 4f+3.
+    smaller value. The lower client id breaks the remaining ties, which
+    only order equal values; those add to the same bits in any order, so
+    the kernel leaves them in sort order. Each coordinate's kept values
+    are added one by one in that order, closest to the median first,
+    starting from 0.0. Requires n >= 4f+3.
     overhead_ops = n(n-1)/2 + 2|S|.
     """
     ups, _, mat, _, f = _checked("bulyan", updates, int, byzantine_f=byzantine_f)
@@ -294,10 +312,12 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     selected.sort()
     mat = mat[selected]  # drops the rows outside S from memory
     keep = n - 4 * f
-    # lexsort is stable and the rows are in ascending id order, so equal
-    # (distance, value) keys keep the lower id first.
-    rank = np.lexsort((mat, np.abs(mat - np.median(mat, axis=0))), axis=0)[:keep]
-    kept = np.take_along_axis(mat, rank, axis=0)
+    # Each column sorted by value, then stably by distance to its median:
+    # equal distances keep the smaller value first. Only equal values are
+    # left in np.sort's order, and those add to the same bits in any order.
+    cols = np.sort(mat, axis=0)
+    rank = np.argsort(np.abs(cols - _sorted_median(cols)), axis=0, kind="stable")[:keep]
+    kept = np.take_along_axis(cols, rank, axis=0)
     # Every delta has at least 2 values, so axis 1 stays numpy's inner loop
     # and each column is summed in row order, as in _scores_for. + 0.0 turns
     # a -0.0 total into the 0.0 that a sum started at 0.0 gives.
@@ -322,7 +342,7 @@ def geomedian(
     n = len(ups)
     y = _weighted_mean(mat, weights)
     if not np.isfinite(np.linalg.norm(mat - y, axis=1)).all():
-        y = np.median(mat, axis=0)
+        y = _sorted_median(np.sort(mat, axis=0))
     converged = False
     iters = 0
     for iters in range(1, weiszfeld_max_iters + 1):

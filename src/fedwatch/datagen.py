@@ -195,8 +195,8 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     leftover = total - int(base.sum())
     if leftover > 0:
         frac = raw - base
-        # Stable sort on (-frac, id): highest remainder first, then lower id.
-        order = np.lexsort((np.arange(len(frac)), -frac))
+        # Highest remainder first; the stable sort keeps equal ones in id order.
+        order = np.argsort(-frac, kind="stable")
         base[order[:leftover]] += 1
     return base
 

@@ -2,13 +2,14 @@
 
 The aggregator oracles deliberately re-derive every quantity with plain
 loops and explicit tie-breaking so they share no selection or ordering
-logic with the library. The trainer oracle is the original SGD loop, and
-``bulyan_compacting`` is the original vectorised Bulyan kernel.
+logic with the library. The trainer oracle is the original SGD loop,
+``bulyan_compacting`` is the original vectorised Bulyan kernel, and
+``robust_distances_np_median`` is the original median/MAD distance.
 """
 
 import numpy as np
 
-from fedwatch.aggregators import _pairwise_sq_dists
+from fedwatch.aggregators import MAD_FLOOR, MAD_SCALE, _pairwise_sq_dists
 from fedwatch.core import ClientUpdate, ModelParams
 from fedwatch.trainer import TrainingDivergedError
 
@@ -143,6 +144,19 @@ def bulyan_compacting(mat, f):
     # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives.
     delta = (np.cumsum(kept, axis=0, out=kept)[-1] + 0.0) / keep
     return selected, remaining, delta
+
+
+def robust_distances_np_median(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``robust_distances`` as it was written on ``np.median``, kept verbatim.
+
+    ``fedwatch.aggregators.robust_distances`` must return the same distance
+    bytes and the same median and scale (NaN where this gives NaN).
+    """
+    reference = np.median(mat, axis=0)
+    dists = np.linalg.norm(mat - reference, axis=1)
+    med = float(np.median(dists))
+    mad = float(np.median(np.abs(dists - med)))
+    return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
 
 
 def geomedian_grid_2d(points, weights, levels=9, cells=50):

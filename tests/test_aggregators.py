@@ -9,11 +9,13 @@ from fedwatch.aggregators import (
     AGGREGATORS,
     PidState,
     _pairwise_sq_dists,
+    _sorted_median,
     bulyan,
     fedavg,
     geomedian,
     krum,
     multi_krum,
+    robust_distances,
     sigma_pid,
     stack_updates,
     trimmed_mean,
@@ -26,6 +28,7 @@ from oracles import (
     bulyan_naive,
     geomedian_grid_2d,
     krum_scores_naive,
+    robust_distances_np_median,
     trimmed_mean_naive,
     weighted_mean_naive,
 )
@@ -587,6 +590,8 @@ def bulyan_rows(rng, kind, n, dim, distinct, exponent):
         pool = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=(distinct, 1))
     elif kind == "offset":  # 0 or 2**26, plus -1, 0 or 1: sums of distances round
         pool = rng.integers(0, 2, size=shape) * 2.0**26 + rng.integers(-1, 2, size=shape)
+    elif kind == "signed":  # half steps with both zeros: ties at equal distance and ±0
+        pool = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])[rng.integers(0, 6, size=shape)]
     else:  # "overflow": distances between the 1e154 rows overflow to inf
         pool = rng.standard_normal(shape)
         pool[rng.integers(0, 2, size=distinct) == 1] *= 1e154
@@ -609,6 +614,13 @@ class TestBulyanMatchesCompactingKernel:
     # summed pairwise, as numpy sums along a contiguous last axis, the
     # windows of this case rank differently and keep another set
     @example(n=11, f_draw=2, dim=2, kind="offset", distinct=11, exponent=0, seed=14)
+    # a coordinate's keep cut falls between equal distances on both sides
+    # of its median: the smaller value stays, whichever client sent it
+    @example(n=12, f_draw=1, dim=2, kind="grid", distinct=7, exponent=0, seed=6)
+    # -0.0 and 0.0 tie at a coordinate's cut, and the column sort keeps the
+    # other sign than the id order does; the delta bits stay the same
+    @example(n=13, f_draw=1, dim=1, kind="signed", distinct=12, exponent=0, seed=25)
+    @example(n=18, f_draw=1, dim=3, kind="signed", distinct=15, exponent=0, seed=13)
     def test_same_ids_and_delta_bits(self, n, f_draw, dim, kind, distinct, exponent, seed):
         f = f_draw % ((n - 3) // 4 + 1)  # 0 up to the largest f that n allows
         rng = Rng(seed)
@@ -622,6 +634,64 @@ class TestBulyanMatchesCompactingKernel:
         assert d.included == tuple(ids[by_id[i]] for i in picked)
         assert d.excluded == tuple(ids[by_id[i]] for i in unpicked)
         assert d.delta.values.tobytes() == delta.tobytes()
+
+
+MEDIAN_SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+
+
+class TestSortedMedian:
+    """_sorted_median must give np.median's values, NaN where it gives NaN.
+
+    Bytes are not compared: a zero median may carry the other sign.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.integers(1, 60),
+        cols=st.sampled_from([None, 1, 2, 5, 13]),  # None: a 1-D input
+        special_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=2000, cols=13, special_share=0.7, seed=1)
+    @example(rows=1999, cols=5, special_share=0.3, seed=2)
+    @example(rows=2000, cols=None, special_share=1.0, seed=3)
+    def test_values_and_nans_equal_np_median(self, rows, cols, special_share, seed):
+        rng = Rng(seed)
+        shape = (rows,) if cols is None else (rows, cols)
+        x = rng.standard_normal(shape)
+        special = rng.random(shape) < special_share
+        x[special] = MEDIAN_SPECIALS[rng.integers(0, len(MEDIAN_SPECIALS), size=shape)][special]
+        with np.errstate(invalid="ignore"):
+            got = _sorted_median(np.sort(x, axis=0))
+            want = np.median(x, axis=0)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestRobustDistancesMatchMedianOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 44),
+        dim=st.integers(1, 5),
+        kind=st.sampled_from(["grid", "signed", "gaussian"]),
+        distinct=st.integers(1, 44),
+        scale=st.sampled_from([1.0, 1e154, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # some distances overflow, the median distance stays finite
+    @example(n=17, dim=2, kind="grid", distinct=9, scale=1e154, seed=0)
+    @example(n=11, dim=2, kind="signed", distinct=9, scale=1e300, seed=1)
+    # most distances overflow: the median is inf and inf - inf gives a NaN MAD
+    @example(n=16, dim=1, kind="grid", distinct=3, scale=1e300, seed=3)
+    @example(n=18, dim=2, kind="grid", distinct=4, scale=1e154, seed=18)
+    def test_same_distance_bytes_median_and_scale(self, n, dim, kind, distinct, scale, seed):
+        rng = Rng(seed)
+        mat = bulyan_rows(rng, kind, n, dim, distinct, 0)
+        mat[rng.integers(0, 2, size=n) == 1] *= scale  # their distances may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists, med, spread = robust_distances(mat)
+            ref_dists, ref_med, ref_spread = robust_distances_np_median(mat)
+        assert dists.tobytes() == ref_dists.tobytes()
+        assert np.array_equal([med, spread], [ref_med, ref_spread], equal_nan=True)
 
 
 class TestKrumScoresSumInAscendingOrder:
