@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .core import ClientId, ClientUpdate, ModelParams
 
 MAD_SCALE = 1.4826  # normal-consistency factor for the median absolute deviation
 MAD_FLOOR = 1e-9
+BLOCK = 2**15  # values in each temporary that robust_distances makes
 WEISZFELD_EPS = 1e-9
 INTEGRAL_CAP = 10.0  # integral norm is clipped to this multiple of the error norm
 
@@ -49,13 +51,45 @@ class PidState:
     integral: np.ndarray | None = None
 
 
-def stack_updates(updates) -> tuple[list[ClientUpdate], list[ClientId], np.ndarray, np.ndarray]:
-    """The updates sorted by client id, their ids, their deltas stacked as
-    rows and their sample counts as floats.
+@dataclass(frozen=True, eq=False)
+class UpdateStack:
+    """One round's updates, checked and stacked once for every reader.
+
+    ``updates`` are sorted by client id and ``ids`` are theirs; row i of
+    ``mat`` is update i's delta and ``weights[i]`` its sample count as a
+    float. Both arrays are read-only, since the monitor and the aggregator
+    share them. ``len`` counts the updates and iteration yields them in id
+    order, so a stack can stand wherever updates are accepted.
+    """
+
+    ids: list[ClientId]
+    updates: list[ClientUpdate]
+    mat: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.updates)
+
+    def __iter__(self):
+        return iter(self.updates)
+
+    @cached_property
+    def distances(self) -> tuple[np.ndarray, float, float]:
+        """``robust_distances(mat)``, computed on first use and then kept;
+        the distance array is read-only, as every reader shares it."""
+        dists, med, scale = robust_distances(self.mat)
+        dists.flags.writeable = False
+        return dists, med, scale
+
+
+def stack_updates(updates) -> UpdateStack:
+    """The updates as an UpdateStack; an UpdateStack is returned as it is.
 
     Raises ValueError for no updates, then for duplicate ids, then for
     deltas of different shapes.
     """
+    if isinstance(updates, UpdateStack):
+        return updates
     ups = sorted(updates, key=lambda u: u.client)
     if not ups:
         raise ValueError("no updates to aggregate")
@@ -67,7 +101,9 @@ def stack_updates(updates) -> tuple[list[ClientUpdate], list[ClientId], np.ndarr
         raise ValueError("mismatched delta shapes")
     mat = np.stack([u.delta.values for u in ups])
     weights = np.asarray([float(u.num_samples) for u in ups])
-    return ups, ids, mat, weights
+    mat.flags.writeable = False
+    weights.flags.writeable = False
+    return UpdateStack(ids, ups, mat, weights)
 
 
 def _checked(name: str, updates, cast: Callable | None = None, **params) -> tuple:
@@ -75,32 +111,32 @@ def _checked(name: str, updates, cast: Callable | None = None, **params) -> tupl
     unless the update count and params, each passed through ``cast`` first
     when given, meet the named aggregator's registry entry.
 
-    Returns (ups, ids, mat, weights) followed by the params' values in order.
+    Returns the UpdateStack followed by the params' values in order.
     """
-    stacked = stack_updates(updates)
+    stack = stack_updates(updates)
     if cast is not None:
         params = {k: cast(v) for k, v in params.items()}
-    problem = AGGREGATORS[name].problem(len(stacked[0]), params)
+    problem = AGGREGATORS[name].problem(len(stack), params)
     if problem is not None:
         blamed, message = problem
         raise ValueError(f"{name}.{blamed}: {message}" if blamed else message)
-    return (*stacked, *params.values())
+    return (stack, *params.values())
 
 
-def _decision(ups: list[ClientUpdate], keep, delta, overhead_ops: int,
+def _decision(stack: UpdateStack, keep, delta, overhead_ops: int,
               info: dict | None = None) -> AggregationDecision:
     """The decision that includes rows ``keep`` (ascending; None keeps all)
-    of the id-sorted updates ``ups`` and excludes the rest.
+    of ``stack`` and excludes the rest.
 
     A delta given as an array takes the updates' shape; a ModelParams is
     kept as it is.
     """
-    kept = range(len(ups)) if keep is None else set(keep)
+    kept = range(len(stack)) if keep is None else set(keep)
     if not isinstance(delta, ModelParams):
-        delta = ModelParams(delta, ups[0].delta.shape)
+        delta = ModelParams(delta, stack.updates[0].delta.shape)
     return AggregationDecision(
-        included=tuple(u.client for i, u in enumerate(ups) if i in kept),
-        excluded=tuple(u.client for i, u in enumerate(ups) if i not in kept),
+        included=tuple(c for i, c in enumerate(stack.ids) if i in kept),
+        excluded=tuple(c for i, c in enumerate(stack.ids) if i not in kept),
         delta=delta,
         overhead_ops=overhead_ops,
         info={} if info is None else info,
@@ -128,9 +164,21 @@ def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     Returns (distances, median distance, scale), where scale is the MAD of
     the distances times 1.4826, floored at 1e-9.
+
+    The median comes from blocks of columns and the distances from blocks
+    of rows, each of about BLOCK values, so no temporary is the size of
+    ``mat``. Each column sorts and each row's norm sums on its own, so the
+    bits are those of one pass over the whole matrix.
     """
-    reference = _sorted_median(np.sort(mat, axis=0))
-    dists = np.linalg.norm(mat - reference, axis=1)
+    n, d = mat.shape
+    reference = np.empty(d)
+    step = max(1, BLOCK // n)
+    for c in range(0, d, step):
+        reference[c : c + step] = _sorted_median(np.sort(mat[:, c : c + step], axis=0))
+    dists = np.empty(n)
+    step = max(1, BLOCK // d)
+    for r in range(0, n, step):
+        dists[r : r + step] = np.linalg.norm(mat[r : r + step] - reference, axis=1)
     med = float(_sorted_median(np.sort(dists)))
     mad = float(_sorted_median(np.sort(np.abs(dists - med))))
     return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
@@ -145,8 +193,8 @@ def fedavg(updates) -> AggregationDecision:
 
     overhead_ops = n (one scale-add per update).
     """
-    ups, _, mat, weights = _checked("fedavg", updates)
-    return _decision(ups, None, _weighted_mean(mat, weights), len(ups))
+    (stack,) = _checked("fedavg", updates)
+    return _decision(stack, None, _weighted_mean(stack.mat, stack.weights), len(stack))
 
 
 def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
@@ -160,8 +208,9 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
 
     Requires n > 2 * trim_beta.
     """
-    ups, ids, mat, _, beta = _checked("trimmed_mean", updates, int, trim_beta=trim_beta)
-    n = len(ups)
+    stack, beta = _checked("trimmed_mean", updates, int, trim_beta=trim_beta)
+    ids, mat = stack.ids, stack.mat
+    n = len(stack)
     order = np.argsort(mat, axis=0, kind="stable")
     sorted_mat = np.take_along_axis(mat, order, axis=0)
     delta = sorted_mat[beta : n - beta].mean(axis=0)
@@ -174,7 +223,7 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
     keep = np.flatnonzero(trimmed_counts <= dim / 2.0)
     ops = n * max(1, math.ceil(math.log2(n))) + 1
     info = {"trim_fraction": {ids[i]: trimmed_counts[i] / dim for i in range(n)}}
-    return _decision(ups, keep, delta, ops, info)
+    return _decision(stack, keep, delta, ops, info)
 
 
 def _pairwise_sq_dists(mat: np.ndarray) -> np.ndarray:
@@ -215,12 +264,12 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     nearest other deltas; the minimum-score client wins, ties to the lowest
     id. Requires n >= 2f+3. overhead_ops = n(n-1)/2 + 1.
     """
-    ups, ids, mat, _, f = _checked("krum", updates, int, byzantine_f=byzantine_f)
-    n = len(ups)
-    scores = _scores_for(mat, f)
+    stack, f = _checked("krum", updates, int, byzantine_f=byzantine_f)
+    n = len(stack)
+    scores = _scores_for(stack.mat, f)
     best = int(np.argmin(scores))  # rows ascend by id, so ties go to the lowest
-    info = {"scores": {ids[i]: float(scores[i]) for i in range(n)}}
-    return _decision(ups, [best], ups[best].delta, n * (n - 1) // 2 + 1, info)
+    info = {"scores": {stack.ids[i]: float(scores[i]) for i in range(n)}}
+    return _decision(stack, [best], stack.updates[best].delta, n * (n - 1) // 2 + 1, info)
 
 
 def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecision:
@@ -229,15 +278,15 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     Ties are broken by lowest id. Requires n >= 2f+3 and 1 <= m <= n-f.
     overhead_ops = n(n-1)/2 + m.
     """
-    ups, ids, mat, weights, f, m = _checked(
+    stack, f, m = _checked(
         "multi_krum", updates, int, byzantine_f=byzantine_f, multi_krum_m=multi_krum_m
     )
-    n = len(ups)
-    scores = _scores_for(mat, f)
+    n = len(stack)
+    scores = _scores_for(stack.mat, f)
     chosen = np.sort(np.argsort(scores, kind="stable")[:m])
-    delta = _weighted_mean(mat[chosen], weights[chosen])
-    info = {"scores": {ids[i]: float(scores[i]) for i in range(n)}}
-    return _decision(ups, chosen, delta, n * (n - 1) // 2 + m, info)
+    delta = _weighted_mean(stack.mat[chosen], stack.weights[chosen])
+    info = {"scores": {stack.ids[i]: float(scores[i]) for i in range(n)}}
+    return _decision(stack, chosen, delta, n * (n - 1) // 2 + m, info)
 
 
 def _iterated_krum(sq: np.ndarray, f: int) -> list[int]:
@@ -305,12 +354,12 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     starting from 0.0. Requires n >= 4f+3.
     overhead_ops = n(n-1)/2 + 2|S|.
     """
-    ups, _, mat, _, f = _checked("bulyan", updates, int, byzantine_f=byzantine_f)
-    n = len(ups)
+    stack, f = _checked("bulyan", updates, int, byzantine_f=byzantine_f)
+    n = len(stack)
 
-    selected = _iterated_krum(_pairwise_sq_dists(mat), f)
+    selected = _iterated_krum(_pairwise_sq_dists(stack.mat), f)
     selected.sort()
-    mat = mat[selected]  # drops the rows outside S from memory
+    mat = stack.mat[selected]
     keep = n - 4 * f
     # Each column sorted by value, then stably by distance to its median:
     # equal distances keep the smaller value first. Only equal values are
@@ -322,7 +371,7 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     # and each column is summed in row order, as in _scores_for. + 0.0 turns
     # a -0.0 total into the 0.0 that a sum started at 0.0 gives.
     delta = (np.add.reduce(kept, axis=0) + 0.0) / keep
-    return _decision(ups, selected, delta, n * (n - 1) // 2 + 2 * len(selected))
+    return _decision(stack, selected, delta, n * (n - 1) // 2 + 2 * len(selected))
 
 
 def geomedian(
@@ -336,10 +385,11 @@ def geomedian(
     runs out (non-convergence is flagged in info, not an error). Nobody is excluded.
     overhead_ops = n + 2n * iterations.
     """
-    ups, _, mat, weights, _, _ = _checked(
+    stack, _, _ = _checked(
         "geomedian", updates, weiszfeld_tol=weiszfeld_tol, weiszfeld_max_iters=weiszfeld_max_iters
     )
-    n = len(ups)
+    mat, weights = stack.mat, stack.weights
+    n = len(stack)
     y = _weighted_mean(mat, weights)
     if not np.isfinite(np.linalg.norm(mat - y, axis=1)).all():
         y = _sorted_median(np.sort(mat, axis=0))
@@ -354,7 +404,7 @@ def geomedian(
         if step < weiszfeld_tol:
             converged = True
             break
-    return _decision(ups, None, y, n + 2 * n * iters, {"converged": converged, "iterations": iters})
+    return _decision(stack, None, y, n + 2 * n * iters, {"converged": converged, "iterations": iters})
 
 
 def sigma_pid(
@@ -372,19 +422,20 @@ def sigma_pid(
     1e-9; if everyone lands outside, the closest client is kept). The
     included sample-weighted mean becomes the error signal of a PID
     controller whose integral term is norm-clipped to 10x the error norm
-    and whose derivative is zero on the first round.
-    Requires n >= 3. overhead_ops = 2n + |included| + 3.
+    and whose derivative is zero on the first round. The distances are the
+    stack's own, so a stack the trust indicators already read is not
+    measured again. Requires n >= 3. overhead_ops = 2n + |included| + 3.
     """
-    ups, ids, mat, weights, *_ = _checked("sigma_pid", updates, sigma_k=sigma_k, kp=kp, ki=ki, kd=kd)
-    n = len(ups)
-    dists, med, scale = robust_distances(mat)
+    stack, *_ = _checked("sigma_pid", updates, sigma_k=sigma_k, kp=kp, ki=ki, kd=kd)
+    n = len(stack)
+    dists, med, scale = stack.distances
     threshold = med + sigma_k * scale
     keep_mask = dists <= threshold
     if not keep_mask.any():
         keep_mask = np.zeros(n, dtype=bool)
         keep_mask[np.argmin(dists)] = True
     kept = np.flatnonzero(keep_mask)
-    raw = _weighted_mean(mat[kept], weights[kept])
+    raw = _weighted_mean(stack.mat[kept], stack.weights[kept])
 
     error = raw
     prev = state.prev_error if state is not None else None
@@ -397,8 +448,8 @@ def sigma_pid(
     derivative = np.zeros_like(error) if prev is None else error - prev
     delta = kp * error + ki * integral + kd * derivative
 
-    info = {"threshold": threshold, "distances": {ids[i]: float(dists[i]) for i in range(n)}}
-    decision = _decision(ups, kept, delta, 2 * n + len(kept) + 3, info)
+    info = {"threshold": threshold, "distances": {stack.ids[i]: float(dists[i]) for i in range(n)}}
+    decision = _decision(stack, kept, delta, 2 * n + len(kept) + 3, info)
     return decision, PidState(prev_error=error, integral=integral)
 
 
@@ -496,7 +547,10 @@ AGGREGATORS: dict[str, AggregatorEntry] = {e.name: e for e in (
 def aggregate(
     name: str, params: dict, updates, state: PidState | None = None
 ) -> tuple[AggregationDecision, PidState | None]:
-    """Dispatch to the named aggregator, threading controller state through."""
+    """Dispatch to the named aggregator, threading controller state through.
+
+    ``updates`` is an UpdateStack or any iterable of ClientUpdates.
+    """
     entry = AGGREGATORS.get(name)
     if entry is None:
         raise ValueError(f"unknown aggregator {name!r}")

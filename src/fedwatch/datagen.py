@@ -230,7 +230,8 @@ def partition(
     else:
         if not spec.dirichlet_alpha > 0:
             raise ValueError(f"dirichlet_alpha must be positive, got {spec.dirichlet_alpha}")
-        by_class = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+        # labels are non-negative; np.unique would import numpy.ma
+        by_class = [np.flatnonzero(labels == c) for c in np.flatnonzero(np.bincount(labels))]
         alpha = np.full(num_clients, float(spec.dirichlet_alpha))
         for _ in range(100):
             trial = [

@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate
+from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate, stack_updates
 from .attacks import flip_labels, poison_update
 from .config import ConfigError, SimConfig, build_config, eval_split_size, set_by_path
 from .core import ClientId, ClientUpdate, ModelParams, Rng, substream
@@ -238,13 +238,16 @@ def run(config: SimConfig) -> RunResult:
                 f"round {t}: {len(updates)} usable updates, {agg.name} needs {needed}"
             )
 
-        indicators_log.append(compute_indicators(updates.values(), params, reputation))
+        # One stack serves the monitor and the aggregator, distances included.
+        stack = stack_updates(updates.values())
+        indicators_log.append(compute_indicators(stack, params, reputation))
         try:
-            decision, pid_state = aggregate(agg.name, agg.params, updates.values(), pid_state)
+            decision, pid_state = aggregate(agg.name, agg.params, stack, pid_state)
             # The one and only mutation of the global model.
             params = params + decision.delta
         except ValueError:
             raise EngineError(f"round {t}: {agg.name} gave a model that is not finite") from None
+        del stack  # the next round trains without this round's matrix
         param_trace.append(params)
         # A client left out of updates is excluded as well.
         excluded = tuple(sorted(participant_set.difference(decision.included)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .aggregators import AggregationDecision, robust_distances, stack_updates
+from .aggregators import AggregationDecision, stack_updates
 from .core import ClientId, ModelParams
 
 
@@ -83,16 +83,18 @@ def compute_indicators(
     use median/MAD with the same floor as the sigma filter. Reputations
     are copied from the current state. ``global_params`` is the broadcast
     model the deltas are relative to and is used for shape validation.
-    The updates are ordered and checked as every aggregator's are.
+    ``updates`` is the round's UpdateStack or any iterable of updates,
+    which is ordered and checked as every aggregator's are. The distances
+    are the stack's own, so ``sigma_pid`` given the same stack reuses them.
     """
-    ups, ids, mat, _ = stack_updates(updates)
-    if ups[0].delta.shape != global_params.shape:
+    stack = stack_updates(updates)
+    if stack.updates[0].delta.shape != global_params.shape:
         raise ValueError("update shape does not match global model")
-    dists, med, scale = robust_distances(mat)
+    dists, med, scale = stack.distances
     return TrustIndicators(
-        distance={c: float(d) for c, d in zip(ids, dists)},
-        z_score={c: float((d - med) / scale) for c, d in zip(ids, dists)},
-        reputation={c: reputation.reputation[c] for c in ids},
+        distance={c: float(d) for c, d in zip(stack.ids, dists)},
+        z_score={c: float((d - med) / scale) for c, d in zip(stack.ids, dists)},
+        reputation={c: reputation.reputation[c] for c in stack.ids},
     )
 
 

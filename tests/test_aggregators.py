@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedwatch.aggregators import (
     AGGREGATORS,
+    BLOCK,
     PidState,
     _pairwise_sq_dists,
     _sorted_median,
@@ -459,11 +460,35 @@ AGGREGATOR_CALLS = {
 class TestSharedEntry:
     def test_stack_updates_orders_by_client_id(self):
         ups = [upd(4, [1.0], num_samples=2), upd(0, [2.0], num_samples=3), upd(2, [3.0])]
-        ordered, ids, mat, weights = stack_updates(ups)
+        stack = stack_updates(ups)
+        ordered, ids, mat, weights = stack.updates, stack.ids, stack.mat, stack.weights
         assert ids == [0, 2, 4]
         assert [u.client for u in ordered] == ids
         assert np.array_equal(mat, [[2.0, 0.0], [3.0, 0.0], [1.0, 0.0]])
         assert weights.tolist() == [3.0, 1.0, 2.0]
+
+    def test_a_stack_stands_for_its_updates(self):
+        ups = [upd(4, [1.0], num_samples=2), upd(0, [2.0], num_samples=3), upd(2, [3.0])]
+        stack = stack_updates(ups)
+        assert len(stack) == 3
+        assert list(stack) == [ups[1], ups[2], ups[0]]
+        assert stack_updates(stack) is stack
+
+    @pytest.mark.parametrize("name", AGGREGATOR_CALLS)
+    def test_a_stack_decides_as_its_updates_do(self, name):
+        ups = scalar_updates([0.5, -1.0, 3.0, 0.0, 40.0, 2.5, -0.25], [2, 1, 3, 1, 1, 4, 2])[::-1]
+        by_stack, by_list = AGGREGATOR_CALLS[name](stack_updates(ups)), AGGREGATOR_CALLS[name](ups)
+        assert (by_stack.included, by_stack.excluded) == (by_list.included, by_list.excluded)
+        assert by_stack.delta.values.tobytes() == by_list.delta.values.tobytes()
+
+    def test_the_shared_arrays_are_read_only(self):
+        stack = stack_updates([upd(0, [1.0]), upd(1, [2.0]), upd(2, [3.0])])
+        with pytest.raises(ValueError, match="read-only"):
+            stack.mat[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            stack.weights[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            stack.distances[0][0] = 5.0
 
     @pytest.mark.parametrize("name", AGGREGATOR_CALLS)
     @pytest.mark.parametrize(
@@ -687,6 +712,32 @@ class TestRobustDistancesMatchMedianOracle:
         rng = Rng(seed)
         mat = bulyan_rows(rng, kind, n, dim, distinct, 0)
         mat[rng.integers(0, 2, size=n) == 1] *= scale  # their distances may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists, med, spread = robust_distances(mat)
+            ref_dists, ref_med, ref_spread = robust_distances_np_median(mat)
+        assert dists.tobytes() == ref_dists.tobytes()
+        assert np.array_equal([med, spread], [ref_med, ref_spread], equal_nan=True)
+
+    # The median is taken over blocks of BLOCK // n columns and the distances
+    # over blocks of BLOCK // d rows: shapes with several of each, whole and
+    # ragged last blocks, and a single row or column wider than one block.
+    @pytest.mark.parametrize("n, dim", [
+        (200, 400),
+        (40, 2000),
+        (128, 256),
+        (128, 257),
+        (3, 2 * (BLOCK // 3)),
+        (3, 2 * (BLOCK // 3) + 1),
+        (1, BLOCK + 1),
+        (BLOCK + 1, 1),
+    ])
+    @pytest.mark.parametrize("scale", [1.0, 1e154])
+    def test_blocks_give_the_same_bytes(self, n, dim, scale):
+        rng = Rng(n * dim)
+        mat = rng.standard_normal((n, dim))
+        mat[:, 0] = 0.0
+        mat[:, -1] = -0.0
+        mat[::3] *= scale  # with 1e154, their distances overflow
         with np.errstate(over="ignore", invalid="ignore"):
             dists, med, spread = robust_distances(mat)
             ref_dists, ref_med, ref_spread = robust_distances_np_median(mat)

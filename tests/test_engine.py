@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -266,6 +269,21 @@ class TestDataLayout:
     """Eval and every shard are views of one read-only matrix: the eval rows
     first, then each client's rows, one block per client in client order."""
 
+    def test_a_dirichlet_run_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma, which would add to every run's set-up
+        code = (
+            "import json, sys, fedwatch; "
+            "raw = json.load(open('configs/default.json')); raw['rounds'] = 2; "
+            "fedwatch.run(fedwatch.build_config(raw)); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        root = DEFAULT_CONFIG.parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     @staticmethod
     def csv_conf(tmp_path, **overrides):
         rng = np.random.default_rng(1)
@@ -469,6 +487,35 @@ class TestRoundPhases:
             poisoned = [u for kind, u in calls if kind == "poison_update"]
             assert [u.client for u in poisoned] == [1, 4]
             assert all(u is trained[u.client] for u in poisoned)
+
+
+class TestOneStackPerRound:
+    """The monitor and the aggregator read one stack and one distance pass."""
+
+    @pytest.mark.parametrize("name", AGGREGATORS)
+    def test_each_round_stacks_and_measures_once(self, name, monkeypatch):
+        from fedwatch import aggregators
+
+        built, measured = [], []
+
+        class CountedStack(aggregators.UpdateStack):
+            def __init__(self, *fields):
+                super().__init__(*fields)
+                built.append(self)
+
+        def counted_distances(mat, original=aggregators.robust_distances):
+            measured.append(mat)
+            return original(mat)
+
+        monkeypatch.setattr(aggregators, "UpdateStack", CountedStack)
+        monkeypatch.setattr(aggregators, "robust_distances", counted_distances)
+        result = run(cfg(rounds=3, aggregator={"name": name, "params": {}}))
+        assert len(built) == 3
+        assert len(measured) == 3
+        assert all(mat is stack.mat for mat, stack in zip(measured, built))
+        if name == "sigma_pid":
+            for decision, indicators in zip(result.decisions, result.indicators):
+                assert decision.info["distances"] == indicators.distance
 
 
 class TestCsvFormat:
