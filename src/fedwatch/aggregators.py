@@ -21,7 +21,6 @@ from .core import ClientId, ClientUpdate, ModelParams
 
 MAD_SCALE = 1.4826  # normal-consistency factor for the median absolute deviation
 MAD_FLOOR = 1e-9
-BLOCK = 2**15  # values in each temporary that robust_distances makes
 WEISZFELD_EPS = 1e-9
 INTEGRAL_CAP = 10.0  # integral norm is clipped to this multiple of the error norm
 
@@ -58,8 +57,8 @@ class UpdateStack:
     ``updates`` are sorted by client id and ``ids`` are theirs; row i of
     ``mat`` is update i's delta and ``weights[i]`` its sample count as a
     float. Both arrays are read-only, since the monitor and the aggregator
-    share them. ``len`` counts the updates and iteration yields them in id
-    order, so a stack can stand wherever updates are accepted.
+    share them. ``len`` counts the updates; ``stack_updates`` returns a
+    stack it is given, so a stack can stand wherever updates are accepted.
     """
 
     ids: list[ClientId]
@@ -69,9 +68,6 @@ class UpdateStack:
 
     def __len__(self) -> int:
         return len(self.updates)
-
-    def __iter__(self):
-        return iter(self.updates)
 
     @cached_property
     def distances(self) -> tuple[np.ndarray, float, float]:
@@ -164,21 +160,9 @@ def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
 
     Returns (distances, median distance, scale), where scale is the MAD of
     the distances times 1.4826, floored at 1e-9.
-
-    The median comes from blocks of columns and the distances from blocks
-    of rows, each of about BLOCK values, so no temporary is the size of
-    ``mat``. Each column sorts and each row's norm sums on its own, so the
-    bits are those of one pass over the whole matrix.
     """
-    n, d = mat.shape
-    reference = np.empty(d)
-    step = max(1, BLOCK // n)
-    for c in range(0, d, step):
-        reference[c : c + step] = _sorted_median(np.sort(mat[:, c : c + step], axis=0))
-    dists = np.empty(n)
-    step = max(1, BLOCK // d)
-    for r in range(0, n, step):
-        dists[r : r + step] = np.linalg.norm(mat[r : r + step] - reference, axis=1)
+    reference = _sorted_median(np.sort(mat, axis=0))
+    dists = np.linalg.norm(mat - reference, axis=1)
     med = float(_sorted_median(np.sort(dists)))
     mad = float(_sorted_median(np.sort(np.abs(dists - med))))
     return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
