@@ -200,10 +200,8 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
     delta = sorted_mat[beta : n - beta].mean(axis=0)
 
     dim = mat.shape[1]
-    trimmed_counts = np.zeros(n, dtype=np.int64)
-    if beta > 0:
-        trimmed_rows = np.concatenate([order[:beta], order[n - beta :]]).ravel()
-        np.add.at(trimmed_counts, trimmed_rows, 1)
+    trimmed_rows = np.concatenate([order[:beta], order[n - beta :]]).ravel()
+    trimmed_counts = np.bincount(trimmed_rows, minlength=n)
     keep = np.flatnonzero(trimmed_counts <= dim / 2.0)
     ops = n * max(1, math.ceil(math.log2(n))) + 1
     info = {"trim_fraction": {ids[i]: trimmed_counts[i] / dim for i in range(n)}}
@@ -214,16 +212,17 @@ def _pairwise_sq_dists(mat: np.ndarray) -> np.ndarray:
     """Squared L2 distance between every two rows, zero on the diagonal.
 
     Each pair costs one BLAS dot of the difference with itself, the call a
-    per-pair ``np.dot`` makes, so the bits match it. ``np.einsum`` and the
-    Gram identity |a|^2 + |b|^2 - 2 a.b round differently and are avoided.
+    per-pair ``np.dot`` makes, so the bits match it: ``np.vecdot`` of one
+    reused difference buffer fills row i, and column i copies it. The Gram
+    identity |a|^2 + |b|^2 - 2 a.b and ``np.einsum`` round differently.
     """
     n = mat.shape[0]
     sq = np.zeros((n, n))
+    diff = np.empty_like(mat)
     for i in range(n - 1):
-        diff = mat[i + 1 :] - mat[i]
-        d = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-        sq[i, i + 1 :] = d
-        sq[i + 1 :, i] = d
+        tail = np.subtract(mat[i + 1 :], mat[i], out=diff[i + 1 :])
+        np.vecdot(tail, tail, out=sq[i, i + 1 :])
+        sq[i + 1 :, i] = sq[i, i + 1 :]
     return sq
 
 

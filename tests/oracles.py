@@ -9,7 +9,7 @@ logic with the library. The trainer oracle is the original SGD loop,
 
 import numpy as np
 
-from fedwatch.aggregators import MAD_FLOOR, MAD_SCALE, _pairwise_sq_dists
+from fedwatch.aggregators import MAD_FLOOR, MAD_SCALE
 from fedwatch.core import ClientUpdate, ModelParams
 from fedwatch.trainer import TrainingDivergedError
 
@@ -104,8 +104,24 @@ def bulyan_naive(vectors, ids, f):
     return sel_ids, np.asarray(agg)
 
 
+def sq_dists_per_pair(mat):
+    """Squared L2 distance between every two rows, one ``np.dot`` per pair.
+
+    ``fedwatch.aggregators._pairwise_sq_dists`` must give the same bytes.
+    """
+    n = mat.shape[0]
+    sq = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = mat[j] - mat[i]
+            sq[i, j] = sq[j, i] = np.dot(diff, diff)
+    return sq
+
+
 def bulyan_compacting(mat, f):
-    """The compacting Bulyan kernel, kept verbatim as a bit-exact guard.
+    """The compacting Bulyan kernel, kept verbatim as a bit-exact guard,
+    except that its distances come from ``sq_dists_per_pair``, so it shares
+    no code with the library kernel it checks.
 
     ``mat`` holds one update per row in ascending id order. Each pick
     cumsums the remaining rows' sorted distances and deletes the winner's
@@ -119,7 +135,7 @@ def bulyan_compacting(mat, f):
     # and its entry in every other row, so the rows stay sorted, keep their
     # own 0.0 as smallest entry and score as in _scores_for over the
     # remaining updates. Sorting in place matches order: ties share a value.
-    vals = _pairwise_sq_dists(mat)
+    vals = sq_dists_per_pair(mat)
     order = np.argsort(vals, axis=1)
     vals.sort(axis=1)
     remaining = np.arange(n)

@@ -29,6 +29,7 @@ from oracles import (
     geomedian_grid_2d,
     krum_scores_naive,
     robust_distances_np_median,
+    sq_dists_per_pair,
     trimmed_mean_naive,
     weighted_mean_naive,
 )
@@ -600,6 +601,29 @@ class TestKrumKernelsMatchOracles:
                     diff = mat[i] - mat[j]
                     ref[i, j] = np.dot(diff, diff)
         assert np.array_equal(_pairwise_sq_dists(mat), ref)
+
+
+class TestPairwiseKernelMatchesPerPairDot:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dim=st.integers(1, 600),
+        exponent=st.integers(-8, 8),
+        overflow=st.booleans(),
+        repeats=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # above 10,000 values OpenBLAS splits a dot over its threads
+    @example(n=12, dim=12000, exponent=0, overflow=False, repeats=False, seed=0)
+    def test_same_bytes_over_shapes(self, n, dim, exponent, overflow, repeats, seed):
+        rng = Rng(seed)
+        mat = rng.standard_normal((n, dim)) * 10.0**exponent
+        if overflow:  # distances from a 1e154 row overflow to inf
+            mat[rng.integers(0, 2, size=n) == 1] *= 1e154
+        if repeats:  # some rows drawn twice: zero distances off the diagonal
+            mat = mat[rng.integers(0, n, size=n)]
+        with np.errstate(over="ignore"):
+            assert _pairwise_sq_dists(mat).tobytes() == sq_dists_per_pair(mat).tobytes()
 
 
 def bulyan_rows(rng, kind, n, dim, distinct, exponent):
