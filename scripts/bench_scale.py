@@ -1,19 +1,19 @@
-"""Measure how a run grows with the number of clients n.
+"""Measure how a run grows with the number of clients n and the model size d.
 
-Runs ``engine.run`` for 2 rounds at d = 330 (10 classes x 32 features + 10
-biases) over n in {200, 1000, 2000, 5000} x {fedavg, sigma_pid, krum,
-bulyan}; bulyan is skipped above n = 2000, where its selection alone would
-take tens of seconds a call. Everything else is ``configs/default.json``:
-4 label-flippers, Dirichlet alpha 0.4, reputation on. The data grows with
-n: 2n samples per class, so 16 training rows per client on average. krum
-and bulyan run with f = n // 10, sigma_pid with its defaults.
+Runs ``engine.run`` for 2 rounds in each cell of ``CELLS``: the n-curve, n in
+{200, 1000, 2000, 5000} at d = 330 (10 classes x 32 features + 10 biases),
+with bulyan only up to n = 2000, where its selection alone takes seconds a
+call; then the d-curve, features in {256, 1024, 4096} at n = 200, so d goes
+up to 40,970. Everything else is ``configs/default.json``: 4 label-flippers,
+Dirichlet alpha 0.4, reputation on. 2n samples per class give 16 training
+rows per client on average. krum and bulyan run with f = n // 10.
 
-Each (n, aggregator) runs in a child process of its own, so its peak RSS
-(from ``os.wait4``) is that run's alone. Inside the child, every layer
-function the engine calls is wrapped by engine name, as the benchmark's
-tracer does, and its seconds are summed; ``other`` is the rest of
-``engine.run``. One row per cell is printed and all of them, with the
-machine, go to ``BENCH_scale.json`` at the repository root.
+Each cell runs in a child of its own through the benchmark's ``run_child``,
+so its peak RSS is that run's alone. The child sums the seconds of each
+layer function ``engine.run`` calls, under the benchmark tracer's engine
+names, and keeps no spans; ``other`` is the rest of ``engine.run``. The rows
+and the benchmark's environment record go to ``BENCH_scale.json`` at the
+repository root. ``--n`` and ``--aggregators`` keep only the matching cells.
 
 Usage: PYTHONPATH=src python scripts/bench_scale.py [--n 200,1000,2000,5000]
                                                 [--aggregators fedavg,sigma_pid,krum,bulyan]
@@ -24,28 +24,32 @@ import argparse
 import json
 import os
 import pathlib
-import platform
-import subprocess
 import sys
+import tempfile
 import time
-
-import numpy as np
 
 import fedwatch
 from fedwatch import engine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmark"))
+from system import environment, run_child  # noqa: E402
+from tracing import WRAPPED  # noqa: E402
+
 ROUNDS = 2
-BULYAN_MAX_N = 2000
-# engine names timed in the child; engine.run's own time is "run"
-PHASES = (
-    "generate_synthetic", "partition", "flip_labels", "local_train", "poison_update",
-    "compute_indicators", "aggregate", "evaluate", "select_participants",
-    "update_reputation", "ledger_record",
-)
+CLASSES = 10
+CHILD_TIMEOUT_S = 600.0
+# engine names timed in the child: all that engine.run calls
+PHASES = tuple(name for name in WRAPPED if name not in ("build_config", "run", "write_run_outputs"))
+ALL = ("fedavg", "sigma_pid", "krum", "bulyan")
+# (n, features, aggregators), in the order they run
+CELLS = [
+    (200, 32, ALL), (1000, 32, ALL), (2000, 32, ALL), (5000, 32, ("fedavg", "sigma_pid", "krum")),
+    (200, 256, ALL), (200, 1024, ALL), (200, 4096, ALL),
+]
 
 
-def scale_config(n: int, aggregator: str) -> dict:
+def scale_config(n: int, features: int, aggregator: str) -> dict:
     raw = json.loads((ROOT / "configs" / "default.json").read_text())
     params = {"byzantine_f": n // 10} if aggregator in ("krum", "bulyan") else {}
     raw.update(
@@ -53,11 +57,11 @@ def scale_config(n: int, aggregator: str) -> dict:
         num_clients=n,
         aggregator={"name": aggregator, "params": params},
     )
-    raw["dataset"].update(classes=10, features=32, samples_per_class=2 * n)
+    raw["dataset"].update(classes=CLASSES, features=features, samples_per_class=2 * n)
     return raw
 
 
-def run_cell(n: int, aggregator: str) -> dict:
+def run_cell(n: int, features: int, aggregator: str) -> dict:
     """Run one config in this process; per-phase seconds by engine name."""
     seconds = dict.fromkeys(PHASES + ("run",), 0.0)
 
@@ -70,7 +74,7 @@ def run_cell(n: int, aggregator: str) -> dict:
                 seconds[name] += time.perf_counter() - start
         return wrapper
 
-    config = engine.build_config(scale_config(n, aggregator))
+    config = engine.build_config(scale_config(n, features, aggregator))
     for name in PHASES:
         setattr(engine, name, timed(name, getattr(engine, name)))
     timed("run", engine.run)(config)
@@ -78,72 +82,58 @@ def run_cell(n: int, aggregator: str) -> dict:
     return seconds
 
 
-def measure(n: int, aggregator: str) -> dict:
+def measure(n: int, features: int, aggregator: str, log_dir: str) -> dict:
     """Run one cell in a child: its phase seconds and its peak RSS in MB."""
     # the child imports the fedwatch this process did
     src = str(pathlib.Path(fedwatch.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, str(pathlib.Path(__file__).resolve()), "--cell", f"{n},{aggregator}"]
-    proc = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE)
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _pid, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"n={n} {aggregator}: child exited {proc.returncode}")
-    return {"seconds": json.loads(out), "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    argv = [sys.executable, str(pathlib.Path(__file__).resolve()), "--cell", f"{n},{features},{aggregator}"]
+    log = os.path.join(log_dir, f"{n}_{features}_{aggregator}.log")
+    _wall, code, peak = run_child(argv, str(ROOT), env, log, CHILD_TIMEOUT_S)
+    with open(log) as fh:
+        lines = fh.read().splitlines()
+    if code != 0:
+        tail = "\n".join(lines[-5:])
+        raise RuntimeError(f"n={n} features={features} {aggregator}: child exited {code}:\n{tail}")
+    return {"seconds": json.loads(lines[-1]), "peak_rss_mb": peak}
 
 
-def machine() -> dict:
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next(line.split(":", 1)[1].strip() for line in fh if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return {
-        "cpu": cpu,
-        "cpus": os.cpu_count(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
+def cells(sizes, names) -> list[tuple[int, int, str]]:
+    """The table's (n, features, aggregator) cells whose n and aggregator are asked for."""
+    return [(n, features, name) for n, features, table_names in CELLS for name in table_names
+            if (sizes is None or n in sizes) and (names is None or name in names)]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--n", default="200,1000,2000,5000", help="client counts, comma-separated")
-    parser.add_argument("--aggregators", default="fedavg,sigma_pid,krum,bulyan")
+    parser.add_argument("--n", help="client counts to keep, comma-separated (default: all)")
+    parser.add_argument("--aggregators", help="aggregators to keep, comma-separated (default: all)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
-    parser.add_argument("--cell", help=argparse.SUPPRESS)  # "n,aggregator": run one, print JSON
+    parser.add_argument("--cell", help=argparse.SUPPRESS)  # "n,features,aggregator": run one, print JSON
     args = parser.parse_args(argv)
     if args.cell:
-        n, aggregator = args.cell.split(",")
-        print(json.dumps(run_cell(int(n), aggregator)))
+        n, features, aggregator = args.cell.split(",")
+        print(json.dumps(run_cell(int(n), int(features), aggregator)))
         return 0
-    sizes = [int(v) for v in args.n.split(",")]
-    names = args.aggregators.split(",")
+    sizes = None if args.n is None else [int(v) for v in args.n.split(",")]
+    names = None if args.aggregators is None else args.aggregators.split(",")
 
     rows = []
-    print(f"{'aggregator':<10} {'n':>5} {'run_s':>8} {'generate':>9} {'partition':>9} "
+    print(f"{'aggregator':<10} {'n':>5} {'d':>6} {'run_s':>8} {'generate':>9} {'partition':>9} "
           f"{'train':>8} {'aggregate':>9} {'other':>8} {'rss_mb':>8}")
-    for n in sizes:
-        for aggregator in names:
-            row = {"n": n, "aggregator": aggregator}
-            if aggregator == "bulyan" and n > BULYAN_MAX_N:
-                rows.append({**row, "skipped": f"bulyan above n = {BULYAN_MAX_N}"})
-                print(f"{aggregator:<10} {n:>5} {'skipped':>8}")
-                continue
-            row.update(measure(n, aggregator))
+    with tempfile.TemporaryDirectory() as log_dir:
+        for n, features, aggregator in cells(sizes, names):
+            row = {"n": n, "d": CLASSES * (features + 1), "aggregator": aggregator}
+            row.update(measure(n, features, aggregator, log_dir))
             rows.append(row)
             s = row["seconds"]
-            print(f"{aggregator:<10} {n:>5} {s['run']:>8.3f} {s['generate_synthetic']:>9.3f} "
+            print(f"{aggregator:<10} {n:>5} {row['d']:>6} {s['run']:>8.3f} {s['generate_synthetic']:>9.3f} "
                   f"{s['partition']:>9.3f} {s['local_train']:>8.3f} {s['aggregate']:>9.3f} "
                   f"{s['other']:>8.3f} {row['peak_rss_mb']:>8.1f}", flush=True)
     report = {
         "rounds": ROUNDS,
-        "config": "configs/default.json with 10 classes x 32 features, 2n samples per class",
-        "machine": machine(),
+        "config": "configs/default.json with 10 classes x (d/10 - 1) features, 2n samples per class",
+        "environment": environment(str(ROOT)),
         "rows": rows,
     }
     with open(args.out, "w") as fh:

@@ -8,8 +8,6 @@ stderr prefixed ``error:``.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 
@@ -40,9 +38,6 @@ def cmd_run(args) -> int:
     elapsed = time.monotonic() - start
     try:
         write_run_outputs(args.out, config, result, elapsed)
-        with open(os.path.join(args.out, "config.json"), "w") as fh:
-            json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     except OSError as e:
         return _fail(EXIT_IO, f"cannot write outputs: {e}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from .aggregators import AGGREGATORS, bound_problem
 from .attacks import ATTACK_KINDS, AttackSpec
 from .core import SEED_MAX
-from .datagen import HeterogeneitySpec
+from .datagen import HETEROGENEITY_MODES, HeterogeneitySpec
 from .trainer import TrainConfig
 from .trust import ReputationConfig, ResourceConfig
 
@@ -93,7 +93,7 @@ RULES: dict[str, dict] = {
     "dataset.features": {"minimum": 1},
     "dataset.samples_per_class": {"minimum": 1},
     "dataset.cluster_spread": {"exclusive_min": 0.0},
-    "heterogeneity.mode": {"choices": ("iid", "dirichlet")},
+    "heterogeneity.mode": {"choices": HETEROGENEITY_MODES},
     "heterogeneity.dirichlet_alpha": {"exclusive_min": 0.0},
     "train.learning_rate": {"exclusive_min": 0.0},
     "train.local_epochs": {"minimum": 1},

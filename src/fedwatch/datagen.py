@@ -11,6 +11,8 @@ import numpy as np
 
 from .core import ClientId, Rng
 
+HETEROGENEITY_MODES = ("iid", "dirichlet")
+
 # Class means are pushed at least this many cluster widths apart so a
 # linear model can separate them.
 _MIN_SEPARATION = 4.0
@@ -62,7 +64,7 @@ class ClientShard:
 class HeterogeneitySpec:
     """How training data is spread across clients."""
 
-    mode: str = "iid"  # "iid" or "dirichlet"
+    mode: str = "iid"  # one of HETEROGENEITY_MODES
     dirichlet_alpha: float = 1.0
 
 
@@ -221,7 +223,7 @@ def partition(
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
     if num_clients > n:
         raise ValueError(f"num_clients={num_clients} exceeds {n} samples")
-    if spec.mode not in ("iid", "dirichlet"):
+    if spec.mode not in HETEROGENEITY_MODES:
         raise ValueError(f"unknown heterogeneity mode {spec.mode!r}")
 
     owner = np.empty(n, dtype=np.int64)

@@ -360,7 +360,7 @@ def summarize(config: SimConfig, result: RunResult, wall_time: float) -> dict:
 
 
 def write_run_outputs(out_dir: str, config: SimConfig, result: RunResult, wall_time: float) -> None:
-    """Write metrics.csv, summary.json, and model.json into out_dir."""
+    """Write one run directory, for run or sweep: metrics.csv, summary.json, model.json, config.json."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write(metrics_to_csv(result.metrics))
@@ -375,6 +375,9 @@ def write_run_outputs(out_dir: str, config: SimConfig, result: RunResult, wall_t
             },
             fh,
         )
+        fh.write("\n")
+    with open(os.path.join(out_dir, "config.json"), "w") as fh:
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

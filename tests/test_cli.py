@@ -199,6 +199,24 @@ class TestSweepCommand:
             sweep_out / "2.5" / "metrics.csv"
         ).read_bytes()
 
+    def test_sweep_run_directory_reruns_from_its_config(self, tmp_path):
+        cfg = small_config(aggregator={"name": "sigma_pid", "params": {}})
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "sw"
+        assert main([
+            "sweep", "--config", cfg_path,
+            "--param", "aggregator.params.sigma_k",
+            "--values", "1.5,3.0",
+            "--out", str(out),
+        ]) == 0
+        for value in ("1.5", "3.0"):
+            point = out / value
+            names = sorted(p.name for p in point.iterdir())
+            assert names == ["config.json", "metrics.csv", "model.json", "summary.json"]
+            rerun = tmp_path / f"rerun-{value}"
+            assert main(["run", "--config", str(point / "config.json"), "--out", str(rerun)]) == 0
+            assert (rerun / "metrics.csv").read_bytes() == (point / "metrics.csv").read_bytes()
+
     def test_boolean_field_sweeps_over_true_and_false(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
         out = tmp_path / "s"

@@ -6,6 +6,7 @@ import pytest
 
 from fedwatch.aggregators import AGGREGATORS
 from fedwatch.config import RULES, ConfigError, SimConfig, build_config, load_config, set_by_path
+from fedwatch.datagen import HETEROGENEITY_MODES
 
 MINIMAL = {"aggregator": {"name": "fedavg"}}
 
@@ -264,6 +265,14 @@ def test_nan_breaks_every_bound(path):
         build_config(raw)
     assert e.value.path == path
     assert e.value.message.endswith("got nan")
+
+
+def test_heterogeneity_mode_is_one_of_the_partition_modes():
+    for mode in HETEROGENEITY_MODES:
+        assert build_config(cfg_dict(heterogeneity={"mode": mode})).heterogeneity.mode == mode
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(heterogeneity={"mode": "pathological"}))
+    assert e.value.path == "heterogeneity.mode"
 
 
 def test_every_rule_names_a_config_field():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fedwatch.core import ModelParams, Rng
 from fedwatch.datagen import (
+    HETEROGENEITY_MODES,
     Dataset,
     HeterogeneitySpec,
     _largest_remainder_counts,
@@ -125,6 +126,11 @@ class TestPartition:
         assert len(np.unique(all_idx)) == ds.num_samples
         assert all(len(ix) >= 1 for ix in rows)
         assert len(rows) == num_clients
+
+    def test_unknown_mode_rejected(self):
+        ds = generate_synthetic(3, 2, 8, 0.5, Rng(0))
+        with pytest.raises(ValueError, match="unknown heterogeneity mode 'pathological'"):
+            partition(ds.labels, 4, HeterogeneitySpec("pathological"), Rng(0, 1))
 
     def test_deterministic(self):
         ds = generate_synthetic(4, 3, 30, 0.5, Rng(9))

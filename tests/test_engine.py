@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedwatch.aggregators import AGGREGATORS
-from fedwatch.config import ConfigError, build_config, eval_split_size
+from fedwatch.config import ConfigError, build_config, eval_split_size, set_by_path
 from fedwatch.core import Rng, substream
 from fedwatch.datagen import generate_synthetic, load_csv
 from fedwatch.engine import (
@@ -569,6 +569,14 @@ class TestSweep:
             "value,final_loss,final_accuracy,mean_excl_precision,mean_excl_recall,total_objective"
         )
         assert len(summary.strip().split("\n")) == 3
+
+    def test_each_run_directory_holds_the_config_of_its_point(self, tmp_path):
+        conf = cfg(rounds=2, aggregator={"name": "sigma_pid", "params": {"sigma_k": 2.5}})
+        path = "aggregator.params.sigma_k"
+        sweep(conf, path, [1.0, 2.5], out_dir=str(tmp_path))
+        for value in (1.0, 2.5):
+            raw = json.loads((tmp_path / str(value) / "config.json").read_text())
+            assert raw == build_config(set_by_path(conf.to_dict(), path, value)).to_dict()
 
     def test_unknown_path_rejected(self):
         from fedwatch.config import ConfigError
