@@ -11,7 +11,8 @@ rows per client on average. krum and bulyan run with f = n // 10.
 Each cell runs in a child of its own through the benchmark's ``run_child``,
 so its peak RSS is that run's alone. The child sums the seconds of each
 layer function ``engine.run`` calls, under the benchmark tracer's engine
-names, and keeps no spans; ``other`` is the rest of ``engine.run``. The rows
+names, which the parent hands it so that it imports no benchmark module,
+and keeps no spans; ``other`` is the rest of ``engine.run``. The rows
 and the benchmark's environment record go to ``BENCH_scale.json`` at the
 repository root. ``--n`` and ``--aggregators`` keep only the matching cells.
 
@@ -32,15 +33,19 @@ import fedwatch
 from fedwatch import engine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "benchmark"))
-from system import environment, run_child  # noqa: E402
-from tracing import WRAPPED  # noqa: E402
+# A cell child (this file run with --cell first) is handed its phase names
+# and imports no benchmark module, so a row's peak RSS holds none of it.
+if __name__ != "__main__" or sys.argv[1:2] != ["--cell"]:
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    from system import environment, run_child  # noqa: E402
+    from tracing import WRAPPED  # noqa: E402
+
+    # engine names timed in a cell: all that engine.run calls
+    PHASES = tuple(name for name in WRAPPED if name not in ("build_config", "run", "write_run_outputs"))
 
 ROUNDS = 2
 CLASSES = 10
 CHILD_TIMEOUT_S = 600.0
-# engine names timed in the child: all that engine.run calls
-PHASES = tuple(name for name in WRAPPED if name not in ("build_config", "run", "write_run_outputs"))
 ALL = ("fedavg", "sigma_pid", "krum", "bulyan")
 # (n, features, aggregators), in the order they run
 CELLS = [
@@ -61,9 +66,10 @@ def scale_config(n: int, features: int, aggregator: str) -> dict:
     return raw
 
 
-def run_cell(n: int, features: int, aggregator: str) -> dict:
-    """Run one config in this process; per-phase seconds by engine name."""
-    seconds = dict.fromkeys(PHASES + ("run",), 0.0)
+def run_cell(n: int, features: int, aggregator: str, phases: list[str]) -> dict:
+    """Run one config in this process; seconds by engine name, for each of
+    ``phases`` and ``run``, and ``other``, the rest of ``run``."""
+    seconds = dict.fromkeys(phases + ["run"], 0.0)
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
@@ -75,10 +81,10 @@ def run_cell(n: int, features: int, aggregator: str) -> dict:
         return wrapper
 
     config = engine.build_config(scale_config(n, features, aggregator))
-    for name in PHASES:
+    for name in phases:
         setattr(engine, name, timed(name, getattr(engine, name)))
     timed("run", engine.run)(config)
-    seconds["other"] = seconds["run"] - sum(seconds[name] for name in PHASES)
+    seconds["other"] = seconds["run"] - sum(seconds[name] for name in phases)
     return seconds
 
 
@@ -87,7 +93,8 @@ def measure(n: int, features: int, aggregator: str, log_dir: str) -> dict:
     # the child imports the fedwatch this process did
     src = str(pathlib.Path(fedwatch.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, str(pathlib.Path(__file__).resolve()), "--cell", f"{n},{features},{aggregator}"]
+    cell = ",".join([str(n), str(features), aggregator, *PHASES])
+    argv = [sys.executable, str(pathlib.Path(__file__).resolve()), "--cell", cell]
     log = os.path.join(log_dir, f"{n}_{features}_{aggregator}.log")
     _wall, code, peak = run_child(argv, str(ROOT), env, log, CHILD_TIMEOUT_S)
     with open(log) as fh:
@@ -109,11 +116,12 @@ def main(argv=None) -> int:
     parser.add_argument("--n", help="client counts to keep, comma-separated (default: all)")
     parser.add_argument("--aggregators", help="aggregators to keep, comma-separated (default: all)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
-    parser.add_argument("--cell", help=argparse.SUPPRESS)  # "n,features,aggregator": run one, print JSON
+    # "n,features,aggregator,phase,...": run one cell, print its JSON
+    parser.add_argument("--cell", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.cell:
-        n, features, aggregator = args.cell.split(",")
-        print(json.dumps(run_cell(int(n), int(features), aggregator)))
+        n, features, aggregator, *phases = args.cell.split(",")
+        print(json.dumps(run_cell(int(n), int(features), aggregator, phases)))
         return 0
     sizes = None if args.n is None else [int(v) for v in args.n.split(",")]
     names = None if args.aggregators is None else args.aggregators.split(",")

@@ -11,6 +11,7 @@ a deterministic cost ledger that is comparable across strategies.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -102,16 +103,23 @@ def stack_updates(updates) -> UpdateStack:
     return UpdateStack(ids, ups, mat, weights)
 
 
-def _checked(name: str, updates, cast: Callable | None = None, **params) -> tuple:
-    """Every aggregator's entry: stack_updates(updates), then a ValueError
-    unless the update count and params, each passed through ``cast`` first
-    when given, meet the named aggregator's registry entry.
+def _checked(name: str, updates, **params) -> tuple:
+    """Every aggregator's entry: stack_updates(updates), then each param
+    ``typed`` as its registry default, except that an integral real counts
+    as an integer, then a ValueError unless the update count and params
+    meet the named aggregator's registry entry.
 
     Returns the UpdateStack followed by the params' values in order.
     """
     stack = stack_updates(updates)
-    if cast is not None:
-        params = {k: cast(v) for k, v in params.items()}
+    for p in AGGREGATORS[name].params:
+        v, kind = params[p.name], type(p.default)
+        if kind is int and isinstance(v, (float, np.floating)) and v.is_integer():
+            v = int(v)
+        try:
+            params[p.name] = typed(v, kind)
+        except ValueError as e:
+            raise ValueError(f"{name}.{p.name}: {e}") from None
     problem = AGGREGATORS[name].problem(len(stack), params)
     if problem is not None:
         blamed, message = problem
@@ -155,6 +163,18 @@ def _sorted_median(s: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(s[-1]), np.nan, med)
 
 
+def _distances_to(mat: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(mat - ref, axis=1)`` from one n x d buffer.
+
+    The norm squares the differences into a second buffer (``x.conj()`` is
+    ``x`` for reals) and sums each row with ``add.reduce``; squaring the
+    differences in place runs the same ops, so the bytes are the same.
+    """
+    buf = np.subtract(mat, ref)
+    np.multiply(buf, buf, out=buf)
+    return np.sqrt(np.add.reduce(buf, axis=1))
+
+
 def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Each row's L2 distance to the coordinate-wise median of the rows.
 
@@ -162,7 +182,7 @@ def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
     the distances times 1.4826, floored at 1e-9.
     """
     reference = _sorted_median(np.sort(mat, axis=0))
-    dists = np.linalg.norm(mat - reference, axis=1)
+    dists = _distances_to(mat, reference)
     med = float(_sorted_median(np.sort(dists)))
     mad = float(_sorted_median(np.sort(np.abs(dists - med))))
     return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
@@ -170,6 +190,15 @@ def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 def _weighted_mean(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights[:, None] * mat).sum(axis=0) / weights.sum()
+
+
+def _kept_mean(stack: UpdateStack, rows: np.ndarray) -> np.ndarray:
+    """``_weighted_mean`` of the stack's rows ``rows``, from one copy of them:
+    scaling the copy in place takes each w * x as x * w, the same bits, where
+    the product of the gathered rows made a second array."""
+    kept = stack.mat.take(rows, axis=0)
+    kept *= stack.weights[rows, None]
+    return kept.sum(axis=0) / stack.weights[rows].sum()
 
 
 def fedavg(updates) -> AggregationDecision:
@@ -192,7 +221,7 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
 
     Requires n > 2 * trim_beta.
     """
-    stack, beta = _checked("trimmed_mean", updates, int, trim_beta=trim_beta)
+    stack, beta = _checked("trimmed_mean", updates, trim_beta=trim_beta)
     ids, mat = stack.ids, stack.mat
     n = len(stack)
     order = np.argsort(mat, axis=0, kind="stable")
@@ -247,7 +276,7 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     nearest other deltas; the minimum-score client wins, ties to the lowest
     id. Requires n >= 2f+3. overhead_ops = n(n-1)/2 + 1.
     """
-    stack, f = _checked("krum", updates, int, byzantine_f=byzantine_f)
+    stack, f = _checked("krum", updates, byzantine_f=byzantine_f)
     n = len(stack)
     scores = _scores_for(stack.mat, f)
     best = int(np.argmin(scores))  # rows ascend by id, so ties go to the lowest
@@ -261,13 +290,11 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     Ties are broken by lowest id. Requires n >= 2f+3 and 1 <= m <= n-f.
     overhead_ops = n(n-1)/2 + m.
     """
-    stack, f, m = _checked(
-        "multi_krum", updates, int, byzantine_f=byzantine_f, multi_krum_m=multi_krum_m
-    )
+    stack, f, m = _checked("multi_krum", updates, byzantine_f=byzantine_f, multi_krum_m=multi_krum_m)
     n = len(stack)
     scores = _scores_for(stack.mat, f)
     chosen = np.sort(np.argsort(scores, kind="stable")[:m])
-    delta = _weighted_mean(stack.mat[chosen], stack.weights[chosen])
+    delta = _kept_mean(stack, chosen)
     info = {"scores": {stack.ids[i]: float(scores[i]) for i in range(n)}}
     return _decision(stack, chosen, delta, n * (n - 1) // 2 + m, info)
 
@@ -337,7 +364,7 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     starting from 0.0. Requires n >= 4f+3.
     overhead_ops = n(n-1)/2 + 2|S|.
     """
-    stack, f = _checked("bulyan", updates, int, byzantine_f=byzantine_f)
+    stack, f = _checked("bulyan", updates, byzantine_f=byzantine_f)
     n = len(stack)
 
     selected = _iterated_krum(_pairwise_sq_dists(stack.mat), f)
@@ -368,23 +395,23 @@ def geomedian(
     runs out (non-convergence is flagged in info, not an error). Nobody is excluded.
     overhead_ops = n + 2n * iterations.
     """
-    stack, _, _ = _checked(
+    stack, tol, max_iters = _checked(
         "geomedian", updates, weiszfeld_tol=weiszfeld_tol, weiszfeld_max_iters=weiszfeld_max_iters
     )
     mat, weights = stack.mat, stack.weights
     n = len(stack)
     y = _weighted_mean(mat, weights)
-    if not np.isfinite(np.linalg.norm(mat - y, axis=1)).all():
+    if not np.isfinite(_distances_to(mat, y)).all():
         y = _sorted_median(np.sort(mat, axis=0))
     converged = False
     iters = 0
-    for iters in range(1, weiszfeld_max_iters + 1):
-        dists = np.maximum(np.linalg.norm(mat - y, axis=1), WEISZFELD_EPS)
+    for iters in range(1, max_iters + 1):
+        dists = np.maximum(_distances_to(mat, y), WEISZFELD_EPS)
         coef = weights / dists
         y_next = _weighted_mean(mat, coef)
         step = float(np.linalg.norm(y_next - y))
         y = y_next
-        if step < weiszfeld_tol:
+        if step < tol:
             converged = True
             break
     return _decision(stack, None, y, n + 2 * n * iters, {"converged": converged, "iterations": iters})
@@ -409,7 +436,7 @@ def sigma_pid(
     stack's own, so a stack the trust indicators already read is not
     measured again. Requires n >= 3. overhead_ops = 2n + |included| + 3.
     """
-    stack, *_ = _checked("sigma_pid", updates, sigma_k=sigma_k, kp=kp, ki=ki, kd=kd)
+    stack, sigma_k, kp, ki, kd = _checked("sigma_pid", updates, sigma_k=sigma_k, kp=kp, ki=ki, kd=kd)
     n = len(stack)
     dists, med, scale = stack.distances
     threshold = med + sigma_k * scale
@@ -418,7 +445,7 @@ def sigma_pid(
         keep_mask = np.zeros(n, dtype=bool)
         keep_mask[np.argmin(dists)] = True
     kept = np.flatnonzero(keep_mask)
-    raw = _weighted_mean(stack.mat[kept], stack.weights[kept])
+    raw = _kept_mean(stack, kept)
 
     error = raw
     prev = state.prev_error if state is not None else None
@@ -436,9 +463,23 @@ def sigma_pid(
     return decision, PidState(prev_error=error, integral=integral)
 
 
-
-
 # --- registry ------------------------------------------------------------
+
+
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def typed(v, kind: type):
+    """v as kind, or a ValueError in config's words. A bool is no number; an
+    integer may be numpy's, and a real any real but an integer beyond float
+    range."""
+    accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+        raise ValueError(f"expected {_EXPECTED[kind]}, got {v!r}")
+    try:
+        return kind(v)
+    except OverflowError:
+        raise ValueError("must be finite, got an integer beyond float range") from None
 
 
 def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,

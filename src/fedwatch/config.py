@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .aggregators import AGGREGATORS, bound_problem
+from .aggregators import AGGREGATORS, bound_problem, typed
 from .attacks import ATTACK_KINDS, AttackSpec
 from .core import SEED_MAX
 from .datagen import HETEROGENEITY_MODES, HeterogeneitySpec
@@ -107,19 +107,13 @@ RULES: dict[str, dict] = {
     "eval_fraction": {"exclusive_min": 0.0, "exclusive_max": 1.0},
 }
 
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
 
 def _read(v, path: str, kind: type):
-    """v checked against kind and the field's rules; a real also takes an int."""
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
-        raise ConfigError(path, f"expected {_EXPECTED[kind]}, got {v!r}")
-    if kind is float:
-        try:
-            v = float(v)
-        except OverflowError:
-            raise ConfigError(path, "must be finite, got an integer beyond float range") from None
+    """v as kind, checked against the field's rules; a real also takes an int."""
+    try:
+        v = typed(v, kind)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
     problem = bound_problem(v, **RULES.get(path, {}))
     if problem is not None:
         raise ConfigError(path, problem)

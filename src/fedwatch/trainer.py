@@ -109,8 +109,8 @@ def local_train(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(cfg.local_epochs):
             order = rng.permutation(n)
-            xs = data.features[order]
-            onehots = _eye(c)[data.labels[order]]
+            xs = data.features.take(order, axis=0)
+            onehots = _eye(c).take(data.labels.take(order), axis=0)
             for lo in range(0, n, bs):
                 _gradient(xs[lo : lo + bs], onehots[lo : lo + bs], w, b, l2, grad_w, grad_b, ridge)
                 grad *= lr

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fedwatch.aggregators import (
     AGGREGATORS,
     PidState,
+    _distances_to,
+    _kept_mean,
     _pairwise_sq_dists,
     _sorted_median,
     bulyan,
@@ -19,6 +21,7 @@ from fedwatch.aggregators import (
     sigma_pid,
     stack_updates,
     trimmed_mean,
+    _weighted_mean,
 )
 from fedwatch.core import ClientUpdate, ModelParams, Rng
 
@@ -756,3 +759,60 @@ class TestKrumScoresSumInAscendingOrder:
         f = (n - 3) // 4
         d = krum([upd(i, row, shape=(1, dim)) for i, row in enumerate(rows)], byzantine_f=f)
         assert np.array_equal(list(d.info["scores"].values()), krum_scores_naive(rows, f))
+
+
+class TestDistancesToMatchesNorm:
+    """One buffer squared in place must give the bytes of the norm's two."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        dim=st.integers(1, 700),
+        exponent=st.integers(-150, 150),
+        reference=st.sampled_from(["median", "row", "other"]),
+        overflow=st.booleans(),
+        repeats=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=9, dim=1, exponent=0, reference="median", overflow=True, repeats=True, seed=0)
+    @example(n=1, dim=1, exponent=150, reference="row", overflow=True, repeats=False, seed=1)
+    def test_same_bytes_as_linalg_norm(self, n, dim, exponent, reference, overflow, repeats, seed):
+        rng = Rng(seed)
+        mat = rng.standard_normal((n, dim)) * 10.0**exponent
+        if overflow:  # rows x 1e154: their squares, or the rows themselves, overflow to inf
+            mat[rng.integers(0, 2, size=n) == 1] *= 1e154
+        if repeats:  # some rows drawn twice
+            mat = mat[rng.integers(0, n, size=n)]
+        if reference == "median":
+            ref = _sorted_median(np.sort(mat, axis=0))
+        elif reference == "row":  # an inf row minus itself gives NaN
+            ref = mat[rng.integers(0, n)].copy()
+        else:
+            ref = rng.standard_normal(dim) * 10.0**exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(mat - ref, axis=1)
+            got = _distances_to(mat, ref)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestKeptMeanMatchesWeightedMean:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dim=st.integers(1, 300),
+        exponent=st.integers(-150, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_as_the_mean_of_the_gathered_rows(self, n, dim, exponent, seed):
+        rng = Rng(seed)
+        ups = [
+            upd(i, rng.standard_normal(dim + 1) * 10.0**exponent, num_samples=int(rng.integers(1, 500)),
+                shape=(1, dim))
+            for i in range(n)
+        ]
+        stack = stack_updates(ups)
+        rows = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _weighted_mean(stack.mat[rows], stack.weights[rows])
+            got = _kept_mean(stack, rows)
+        assert got.tobytes() == want.tobytes()

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_scale.py"
@@ -74,3 +77,22 @@ def test_committed_record_has_one_row_per_cell_of_the_table():
     assert set(report["environment"]) == set(system.environment(str(ROOT)))
     assert [(r["n"], r["d"], r["aggregator"]) for r in report["rows"]] == [
         (n, script.CLASSES * (features + 1), name) for n, features, name in script.cells(None, None)]
+
+
+def test_cell_child_times_the_phases_it_is_handed_and_imports_no_benchmark_module():
+    code = "\n".join([
+        "import runpy, sys",
+        f"sys.argv = [{str(SCRIPT)!r}, '--cell', '5,1,fedavg,local_train,aggregate']",
+        "try:",
+        "    runpy.run_path(sys.argv[0], run_name='__main__')",
+        "except SystemExit as e:",
+        "    assert e.code == 0, e.code",
+        "print(sorted(name for name in ('system', 'tracing') if name in sys.modules))",
+    ])
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    *_, seconds, imported = done.stdout.splitlines()
+    assert set(json.loads(seconds)) == {"local_train", "aggregate", "run", "other"}
+    assert imported == "[]"

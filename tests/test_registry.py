@@ -132,3 +132,69 @@ class TestRegistryEntries:
         assert isinstance(state, aggregators.PidState) and state.prev_error is not None
         with pytest.raises(ValueError):
             aggregators.aggregate("median", {}, ups)
+
+
+def call(name, ups, **params):
+    """The named aggregator's decision on ups, called directly."""
+    fn = getattr(aggregators, name)
+    return fn(ups, None, **params)[0] if name == "sigma_pid" else fn(ups, **params)
+
+
+def defaults(name):
+    return {p.name: p.default for p in AGGREGATORS[name].params}
+
+
+def decision_bytes(d):
+    return d.included, d.excluded, d.overhead_ops, d.delta.values.tobytes(), repr(d.info)
+
+
+REGISTRY_PARAMS = [(e.name, p) for e in AGGREGATORS.values() for p in e.params]
+INT_PARAMS = [(name, p.name) for name, p in REGISTRY_PARAMS if type(p.default) is int]
+
+
+class TestParamTypes:
+    @pytest.mark.parametrize("name, param", REGISTRY_PARAMS, ids=[f"{n}.{p.name}" for n, p in REGISTRY_PARAMS])
+    def test_function_and_config_refuse_the_same_values_in_the_same_words(self, name, param):
+        wrong = [True, "2", None] + ([2.7] if type(param.default) is int else [10**400])
+        for v in wrong:
+            raw = {"num_clients": 20, "aggregator": {"name": name, "params": {param.name: v}}}
+            with pytest.raises(ConfigError) as conf:
+                build_config(raw)
+            assert conf.value.path == "aggregator.params." + param.name
+            with pytest.raises(ValueError) as direct:
+                call(name, updates(20), **{**defaults(name), param.name: v})
+            assert str(direct.value) == f"{name}.{param.name}: {conf.value.message}", v
+
+    def test_direct_calls_that_ran_on_wrong_values_now_refuse_or_convert(self):
+        ups = updates(20)
+        with pytest.raises(ValueError, match=r"^krum\.byzantine_f: expected an integer, got 2\.7$"):
+            aggregators.krum(ups, byzantine_f=2.7)
+        with pytest.raises(ValueError, match=r"^trimmed_mean\.trim_beta: expected an integer, got 1\.9$"):
+            aggregators.trimmed_mean(ups, trim_beta=1.9)
+        with pytest.raises(ValueError, match=r"^krum\.byzantine_f: expected an integer, got True$"):
+            aggregators.krum(ups, byzantine_f=True)
+        with pytest.raises(ValueError, match=r"^sigma_pid\.sigma_k: expected a number, got '2'$"):
+            aggregators.sigma_pid(ups, None, sigma_k="2")
+        five = aggregators.geomedian(ups, weiszfeld_max_iters=5)
+        assert five.info["iterations"] == 5
+        assert decision_bytes(aggregators.geomedian(ups, weiszfeld_max_iters=5.0)) == decision_bytes(five)
+
+    @pytest.mark.parametrize("name, param", INT_PARAMS)
+    def test_an_integral_real_or_numpy_integer_decides_as_the_int(self, name, param):
+        value = {"trim_beta": 2, "byzantine_f": 2, "multi_krum_m": 3, "weiszfeld_max_iters": 5}[param]
+        ups = updates(20)
+        want = decision_bytes(call(name, ups, **{**defaults(name), param: value}))
+        for v in (float(value), np.float64(value), np.float32(value), np.int64(value), np.int32(value)):
+            assert decision_bytes(call(name, ups, **{**defaults(name), param: v})) == want, repr(v)
+
+    def test_sigma_pid_int_gains_decide_as_real_gains(self):
+        def two_rounds(**gains):
+            state, out = None, []
+            for n in (9, 12):  # the second round threads the first one's state
+                decision, state = aggregators.sigma_pid(updates(n), state, **gains)
+                out += [decision_bytes(decision), state.prev_error.tobytes(), state.integral.tobytes()]
+            return out
+
+        want = two_rounds(sigma_k=2.0, kp=3.0, ki=2.0, kd=-1.0)
+        assert two_rounds(sigma_k=2, kp=3, ki=2, kd=-1) == want
+        assert two_rounds(sigma_k=np.int64(2), kp=np.int32(3), ki=2, kd=np.float32(-1)) == want
