@@ -369,13 +369,16 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
 
     selected = _iterated_krum(_pairwise_sq_dists(stack.mat), f)
     selected.sort()
-    mat = stack.mat[selected]
     keep = n - 4 * f
     # Each column sorted by value, then stably by distance to its median:
     # equal distances keep the smaller value first. Only equal values are
     # left in np.sort's order, and those add to the same bits in any order.
-    cols = np.sort(mat, axis=0)
-    rank = np.argsort(np.abs(cols - _sorted_median(cols)), axis=0, kind="stable")[:keep]
+    # In place and in one buffer: at large d these arrays set the peak RSS.
+    cols = stack.mat.take(selected, axis=0)
+    cols.sort(axis=0)
+    dist = np.subtract(cols, _sorted_median(cols))
+    rank = np.argsort(np.abs(dist, out=dist), axis=0, kind="stable")[:keep]
+    del dist
     kept = np.take_along_axis(cols, rank, axis=0)
     # Every delta has at least 2 values, so axis 1 stays numpy's inner loop
     # and each column is summed in row order, as in _scores_for. + 0.0 turns

@@ -14,6 +14,7 @@ every finite one, however large, reaches the monitor and the aggregator.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections.abc import Callable
@@ -360,12 +361,19 @@ def summarize(config: SimConfig, result: RunResult, wall_time: float) -> dict:
 
 
 def write_run_outputs(out_dir: str, config: SimConfig, result: RunResult, wall_time: float) -> None:
-    """Write one run directory, for run or sweep: metrics.csv, summary.json, model.json, config.json."""
+    """Write one run directory, for run or sweep: metrics.csv, summary.json, model.json, config.json.
+
+    JSON has no NaN or Infinity, so summary.json writes a non-finite real as null.
+    """
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write(metrics_to_csv(result.metrics))
+    summary = {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in summarize(config, result, wall_time).items()
+    }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summarize(config, result, wall_time), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "model.json"), "w") as fh:
         json.dump(

@@ -26,11 +26,11 @@ class TrainConfig:
 def _log_softmax(g: np.ndarray) -> np.ndarray:
     """Turn the logits ``g`` into log-probabilities in place; returns g.
 
-    The ufunc reductions behind ndarray.max/sum, minus their Python wrappers.
+    The ufunc reductions behind ndarray.max/sum, arguments positional.
     """
-    g -= np.maximum.reduce(g, axis=1, keepdims=True)
-    norm = np.add.reduce(np.exp(g), axis=1, keepdims=True)
-    g -= np.log(norm, out=norm)
+    g -= np.maximum.reduce(g, 1, None, None, True)
+    norm = np.add.reduce(np.exp(g), 1, None, None, True)
+    g -= np.log(norm, norm)
     return g
 
 
@@ -49,14 +49,14 @@ def _gradient(x, onehot, w, b, l2, grad_w, grad_b, ridge) -> None:
     ``ridge`` is scratch shaped like ``w``. Subtracting the one-hot row is
     subtracting 1.0 at the label, because x - 0.0 == x.
     """
-    g = np.matmul(x, w.T)
+    g = np.dot(x, w.T)  # np.matmul's BLAS dgemm, less dispatch
     g += b
-    np.exp(_log_softmax(g), out=g)
+    np.exp(_log_softmax(g), g)
     g -= onehot  # p - onehot(y)
-    g /= x.shape[0]
-    np.matmul(g.T, x, out=grad_w)
-    grad_w += np.multiply(w, l2, out=ridge)
-    np.add.reduce(g, axis=0, out=grad_b)
+    g /= len(x)
+    np.dot(g.T, x, grad_w)
+    grad_w += np.multiply(w, l2, ridge)
+    np.add.reduce(g, 0, None, grad_b)
 
 
 def loss_and_gradient(

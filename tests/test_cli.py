@@ -75,6 +75,27 @@ class TestRunCommand:
         assert model["shape"] == [3, 4]
         assert len(model["values"]) == 3 * 4 + 3
 
+    @pytest.mark.parametrize(
+        "overrides, nulls",
+        [
+            ({"rounds": 0}, {"mean_excl_precision", "mean_excl_recall"}),
+            (
+                {"rounds": 2, "resource": {"alpha": 1e308, "beta": 1e308}},
+                {"total_objective"},
+            ),
+        ],
+    )
+    def test_summary_is_strict_json(self, tmp_path, overrides, nulls):
+        # NaN and Infinity are not JSON (RFC 8259): a non-finite real is null.
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        cfg_path = write_config(tmp_path, small_config(**overrides))
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert {k for k, v in summary.items() if v is None} == nulls
+
     def test_validation_failure_exits_2(self, tmp_path, capsys):
         cfg = small_config(num_clients=4, aggregator={"name": "krum", "params": {"byzantine_f": 1}})
         cfg_path = write_config(tmp_path, cfg)

@@ -165,6 +165,29 @@ class TestLocalTrainMatchesReference:
         assert got == expected
 
 
+class TestKernelBytesAtWorkloadShapes:
+    """The reference loop's bits at the feature and class counts the
+    workloads and the scale curve use, where BLAS may run other kernels
+    than at the small random shapes above; each epoch ends on a 1-row batch."""
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-4])
+    @pytest.mark.parametrize("classes", [4, 10, 40])
+    @pytest.mark.parametrize("features", [32, 64, 330])
+    @pytest.mark.parametrize("n, batch_size", [(33, 16), (65, 32), (17, 1)])
+    def test_bit_identical(self, features, classes, l2, n, batch_size):
+        seed = features * 1000 + classes
+        rng = Rng(seed)
+        shape = (classes, features)
+        start = mp(rng.standard_normal(classes * features + classes) * 0.5, shape)
+        data = Dataset(rng.standard_normal((n, features)) * 2.0, rng.integers(0, classes, size=n))
+        shard = ClientShard(client=1, train=data, indices=np.arange(n))
+        cfg = TrainConfig(learning_rate=0.5, local_epochs=2, batch_size=batch_size, l2_reg=l2)
+        expected = _train_outcome(local_train_reference, start, shard, cfg, Rng(seed, 1))
+        got = _train_outcome(local_train, start, shard, cfg, Rng(seed, 1))
+        assert isinstance(expected, bytes)
+        assert got == expected
+
+
 class TestCheckedGradientIsApplied:
     """loss_and_gradient's gradient, the one the finite-difference tests
     check, is the step local_train takes."""
