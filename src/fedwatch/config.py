@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .aggregators import AGGREGATORS, bound_problem, typed
 from .attacks import ATTACK_KINDS, AttackSpec
-from .core import SEED_MAX
+from .core import SEED_MAX, STREAM_FIELD_LIMIT
 from .datagen import HETEROGENEITY_MODES, HeterogeneitySpec
 from .trainer import TrainConfig
 from .trust import ReputationConfig, ResourceConfig
@@ -84,8 +84,9 @@ class SimConfig:
 # their registry entry.
 RULES: dict[str, dict] = {
     "seed": {"minimum": 0, "maximum": SEED_MAX},
-    "rounds": {"minimum": 0},
-    "num_clients": {"minimum": 1},
+    # a round and a client id each fill one 24-bit field of a stream id
+    "rounds": {"minimum": 0, "maximum": STREAM_FIELD_LIMIT},
+    "num_clients": {"minimum": 1, "maximum": STREAM_FIELD_LIMIT},
     "malicious.kind": {"choices": ATTACK_KINDS},
     "malicious.fraction": {"minimum": 0.0, "maximum": 1.0},
     "dataset.type": {"choices": ("synthetic", "csv")},

@@ -9,7 +9,7 @@ scheduling order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
@@ -23,12 +23,21 @@ _MASK64 = (1 << 64) - 1
 SEED_MAX = _MASK64  # Rng keeps a seed's low 64 bits, so a larger seed repeats a run
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Rounds and client ids each fill 24 bits of a stream id (see substream).
+STREAM_FIELD_LIMIT = 1 << 24
 
-def mix64(seed: int, stream_id: int) -> int:
+# StreamGrid hashes at most this many stream ids in one call (128 KiB of
+# words), or one round's if a round has more.
+STREAM_BLOCK_IDS = 4096
+
+
+def mix64(seed: int, stream_id):
     """Derive a 64-bit stream seed from (master seed, stream id).
 
     splitmix64 finalizer applied to ``seed + (stream_id + 1) * golden``;
-    pure integer math, so identical on every platform.
+    pure integer math, so identical on every platform. ``stream_id`` is an
+    int or a uint64 array; array arithmetic wraps mod 2**64 as the masks
+    do for ints, so each element gets the int result.
     """
     z = (seed + (stream_id + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -42,9 +51,9 @@ def substream(purpose: int, a: int = 0, b: int = 0) -> int:
     ``a`` and ``b`` must fit in 24 bits (rounds and client ids easily do);
     ``purpose`` is a small tag kept apart in the top bits.
     """
-    if not 0 <= a < (1 << 24):
+    if not 0 <= a < STREAM_FIELD_LIMIT:
         raise ValueError(f"substream component a out of range: {a}")
-    if not 0 <= b < (1 << 24):
+    if not 0 <= b < STREAM_FIELD_LIMIT:
         raise ValueError(f"substream component b out of range: {b}")
     if not 0 <= purpose < (1 << 16):
         raise ValueError(f"substream purpose out of range: {purpose}")
@@ -95,7 +104,8 @@ def _preset_words_type() -> type:
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
+            # PCG64 passes the type itself; np.dtype() only for anything else
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError(f"preset seed holds 4 uint64 words, not {n_words} {dtype}")
             return self.words
 
@@ -153,22 +163,6 @@ class Rng:
         )
 
     @classmethod
-    def streams(cls, seed: int, stream_ids: Iterable[int]) -> Iterator["Rng"]:
-        """``Rng(seed, s)`` for each s, in order, each in exactly the state
-        that constructor gives.
-
-        The SeedSequence hash runs once over all ids (see
-        :func:`_seed_sequence_words`); each generator is built only when the
-        iterator reaches it. Pays off from about 8 streams on.
-        """
-        seed = int(seed) & _MASK64
-        ids = [int(s) for s in stream_ids]
-        if not ids:  # spare the hash's fixed cost
-            return iter(())
-        words = _seed_sequence_words(np.array([mix64(seed, s) for s in ids], dtype=np.uint64))
-        return (cls._from_words(seed, s, w) for s, w in zip(ids, words))
-
-    @classmethod
     def _from_words(cls, seed: int, stream_id: int, words: np.ndarray) -> "Rng":
         rng = cls.__new__(cls)
         rng.seed = seed
@@ -198,6 +192,52 @@ class Rng:
 
     def choice(self, n, size=None, replace=True):
         return self._gen.choice(n, size=size, replace=replace)
+
+
+class StreamGrid:
+    """``Rng(seed, substream(purpose, t, c))`` for each round t in
+    range(rounds) and each c in clients, each in exactly the state that
+    constructor gives.
+
+    The SeedSequence hash (see :func:`_seed_sequence_words`) runs over a
+    block of rounds at once, every client of each: as many rounds as fit in
+    STREAM_BLOCK_IDS ids, and at least one. A block starts at a multiple of
+    its length and is hashed when a round in it is first asked for; each
+    generator is built only when asked for.
+    """
+
+    def __init__(self, seed: int, purpose: int, rounds: int, clients: Sequence[int]):
+        # substream's range checks, on the grid's corners
+        substream(purpose, 0, min(clients, default=0))
+        substream(purpose, max(rounds - 1, 0), max(clients, default=0))
+        self.seed = int(seed) & _MASK64
+        self.purpose = purpose
+        self.rounds = rounds
+        self._column = {c: j for j, c in enumerate(clients)}
+        self._clients = np.array(clients, dtype=np.uint64)
+        self._block = max(1, STREAM_BLOCK_IDS // max(1, len(clients)))
+        self._first = 0
+        self._words = np.empty((0, len(clients), 4), np.uint64)  # rounds x clients x 4
+
+    def rng(self, t: int, c: int) -> Rng:
+        """Client c's stream at round t."""
+        k = t - self._first
+        if not 0 <= k < len(self._words):
+            self._hash_block(t)
+            k = t - self._first
+        stream_id = (self.purpose << 48) | (t << 24) | c  # substream's packing
+        return Rng._from_words(self.seed, stream_id, self._words[k, self._column[c]])
+
+    def _hash_block(self, t: int) -> None:
+        """Hash every stream of the block that holds round t."""
+        if not 0 <= t < self.rounds:
+            raise IndexError(f"round {t} is outside the grid's {self.rounds} rounds")
+        first = t - t % self._block
+        rounds = np.arange(first, min(first + self._block, self.rounds), dtype=np.uint64)
+        ids = (self.purpose << 48) | (rounds[:, None] << 24) | self._clients
+        words = _seed_sequence_words(mix64(self.seed, ids.ravel()))
+        self._first = first
+        self._words = words.reshape(len(rounds), len(self._clients), 4)
 
 
 @dataclass(frozen=True, eq=False)

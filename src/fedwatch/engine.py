@@ -26,7 +26,7 @@ import numpy as np
 from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate, stack_updates
 from .attacks import flip_labels, poison_update
 from .config import ConfigError, SimConfig, build_config, eval_split_size, set_by_path
-from .core import ClientId, ClientUpdate, ModelParams, Rng, substream
+from .core import ClientId, ClientUpdate, ModelParams, Rng, StreamGrid, substream
 from .datagen import (
     ClientShard,
     Dataset,
@@ -168,9 +168,10 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
     ]
     attack = config.malicious
     if attack.kind == "label_flip":
-        flip_ids = [substream(STREAM_FLIP, 0, c) for c in attack.targets]
-        for cid, rng in zip(attack.targets, Rng.streams(config.seed, flip_ids)):
+        flip_streams = StreamGrid(config.seed, STREAM_FLIP, 1, attack.targets)
+        for cid in attack.targets:
             shard = shards[cid]
+            rng = flip_streams.rng(0, cid)
             flipped = flip_labels(shard.train, attack.fraction, config.dataset.classes, rng)
             shards[cid] = ClientShard(cid, flipped, shard.indices)
     return Dataset(data.features[:n_eval], data.labels[:n_eval]), shards
@@ -197,6 +198,10 @@ def run(config: SimConfig) -> RunResult:
     needed = AGGREGATORS[agg.name].min_clients(agg.params)
 
     initial_loss, initial_accuracy = evaluate(params, eval_data)
+    # Per-round streams, each in the state Rng(seed, substream(purpose, t,
+    # cid)) gives; a grid seeds a block of rounds with one hash call.
+    train_streams = StreamGrid(config.seed, STREAM_TRAIN, config.rounds, all_clients)
+    poison_streams = StreamGrid(config.seed, STREAM_POISON, config.rounds, config.malicious.targets)
 
     metrics: list[RoundMetrics] = []
     decisions: list[AggregationDecision] = []
@@ -215,11 +220,9 @@ def run(config: SimConfig) -> RunResult:
         participant_set = set(participants)
         non_participants = tuple(c for c in all_clients if c not in participant_set)
 
-        # One Rng.streams call per purpose seeds the round's streams; each is
-        # in the state Rng(seed, substream(purpose, t, cid)) would give.
         # Phase A: every participant trains; a diverged one is left out.
-        train_ids = [substream(STREAM_TRAIN, t, c) for c in participants]
-        for cid, rng in zip(participants, Rng.streams(config.seed, train_ids)):
+        for cid in participants:
+            rng = train_streams.rng(t, cid)
             try:
                 updates[cid] = local_train(params, shards[cid], config.train, rng)
             except TrainingDivergedError:
@@ -227,8 +230,8 @@ def run(config: SimConfig) -> RunResult:
         # Phase B: each attacker that trained poisons its own update; one
         # whose poisoned update is not finite is left out too.
         attackers = [c for c in updates if c in malicious] if model_attack else []
-        poison_ids = [substream(STREAM_POISON, t, c) for c in attackers]
-        for cid, rng in zip(attackers, Rng.streams(config.seed, poison_ids)):
+        for cid in attackers:
+            rng = poison_streams.rng(t, cid)
             try:
                 updates[cid] = poison_update(updates[cid], config.malicious, rng)
             except ValueError:

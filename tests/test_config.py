@@ -6,6 +6,7 @@ import pytest
 
 from fedwatch.aggregators import AGGREGATORS
 from fedwatch.config import RULES, ConfigError, SimConfig, build_config, load_config, set_by_path
+from fedwatch.core import STREAM_FIELD_LIMIT, substream
 from fedwatch.datagen import HETEROGENEITY_MODES
 
 MINIMAL = {"aggregator": {"name": "fedavg"}}
@@ -337,6 +338,17 @@ def test_seed_is_bounded_to_the_width_rng_keeps():
     with pytest.raises(ConfigError) as e:
         build_config(cfg_dict(seed=2**64))
     assert e.value.path == "seed"
+
+
+@pytest.mark.parametrize("path", ["rounds", "num_clients"])
+def test_rounds_and_clients_are_bounded_to_a_stream_id_field(path):
+    # round t and client c each fill a 24-bit field of substream(purpose, t, c)
+    substream(6, STREAM_FIELD_LIMIT - 1, STREAM_FIELD_LIMIT - 1)
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(**{path: STREAM_FIELD_LIMIT + 1}))
+    assert e.value.path == path
+    assert e.value.message == f"must be <= {STREAM_FIELD_LIMIT}, got {STREAM_FIELD_LIMIT + 1}"
+    assert build_config(cfg_dict(rounds=STREAM_FIELD_LIMIT)).rounds == STREAM_FIELD_LIMIT
 
 
 def test_infinity_within_its_bounds_must_still_be_finite():

@@ -2,16 +2,21 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedwatch import core
 from fedwatch.core import (
+    STREAM_BLOCK_IDS,
+    STREAM_FIELD_LIMIT,
     ClientUpdate,
     ModelParams,
     Rng,
+    StreamGrid,
     _preset_words_type,
     _seed_sequence_words,
     mix64,
@@ -94,20 +99,26 @@ class TestRng:
             substream(1, 0, -1)
 
 
-# Stream ids as the engine builds them: a narrow range, where lists repeat
-# ids, mixed with the full 64-bit range.
-stream_id_lists = st.lists(
-    st.one_of(
-        st.builds(substream, st.integers(5, 6), st.integers(0, 2), st.integers(0, 2)),
-        st.builds(
-            substream,
-            st.integers(0, (1 << 16) - 1),
-            st.integers(0, (1 << 24) - 1),
-            st.integers(0, (1 << 24) - 1),
-        ),
-    ),
-    max_size=300,
-)
+EDGE = STREAM_FIELD_LIMIT - 1  # the largest round or client id
+
+
+@st.composite
+def grids(draw):
+    """(clients, block bound, rounds, asked (t, c) pairs): the pairs cover a
+    span of rounds that straddles a block edge when the grid has one, in any
+    order."""
+    clients = draw(st.lists(
+        st.one_of(st.integers(0, 40), st.sampled_from([0, 1, EDGE - 1, EDGE])),
+        min_size=1, max_size=30, unique=True,
+    ))
+    bound = draw(st.sampled_from([1, 2 * len(clients), 3 * len(clients) + 1, STREAM_BLOCK_IDS]))
+    block = max(1, bound // len(clients))
+    rounds = draw(st.one_of(st.integers(1, 12), st.integers(1, STREAM_FIELD_LIMIT)))
+    edge = draw(st.integers(0, (rounds - 1) // block)) * block
+    first = max(0, edge - draw(st.integers(0, 3)))
+    last = min(rounds, edge + draw(st.integers(1, 3)))
+    pairs = draw(st.permutations([(t, c) for t in range(first, last) for c in clients]))
+    return clients, bound, rounds, pairs
 
 
 class TestStreams:
@@ -121,20 +132,67 @@ class TestStreams:
         assert np.array_equal(words[0], expected)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**64 - 1), stream_id_lists)
-    @example(0, [])
-    @example(2**64 - 1, [substream(5, 7, 3)])
-    @example(12345, [substream(6, 0, 1)] * 3)
-    @example(7, [substream(5, t, c) for t in (0, 1) for c in range(150)])
-    def test_every_stream_starts_where_rng_does(self, seed, ids):
-        streams = list(Rng.streams(seed, ids))
-        assert len(streams) == len(ids)
-        for got, stream_id in zip(streams, ids):
-            want = Rng(seed, stream_id)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, (1 << 16) - 1), grids())
+    @example(0, 5, ([3], STREAM_BLOCK_IDS, 1, [(0, 3)]))
+    @example(2**64 - 1, 6, ([0, EDGE], 2, STREAM_FIELD_LIMIT, [(EDGE, EDGE), (EDGE - 1, 0)]))
+    @example(7, 5, (list(range(150)), STREAM_BLOCK_IDS, 30, [(t, c) for t in (26, 27) for c in range(150)]))
+    def test_every_stream_starts_where_rng_does(self, seed, purpose, grid):
+        clients, bound, rounds, pairs = grid
+        with mock.patch.object(core, "STREAM_BLOCK_IDS", bound):
+            streams = StreamGrid(seed, purpose, rounds, clients)
+        for t, c in pairs:
+            got, want = streams.rng(t, c), Rng(seed, substream(purpose, t, c))
             assert (got.seed, got.stream_id) == (want.seed, want.stream_id)
             assert got._gen.bit_generator.state == want._gen.bit_generator.state
             assert np.array_equal(got.permutation(17), want.permutation(17))
             assert np.array_equal(got.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**64 - 1), max_size=50))
+    @example(0, [0, 1])  # the values test_mix64_frozen_values pins
+    @example(1, [0])
+    @example(2**64 - 1, [2**64 - 1, 2**64 - 2])  # both additions wrap
+    def test_array_mix64_equals_int_mix64(self, seed, ids):
+        got = mix64(seed, np.array(ids, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix64(seed, s) for s in ids]
+
+    def test_one_hash_per_block_of_rounds(self):
+        calls = []
+
+        def counted(entropy, original=_seed_sequence_words):
+            calls.append(entropy.size)
+            return original(entropy)
+
+        with mock.patch.object(core, "_seed_sequence_words", counted):
+            for bound, sizes in ((1, [3] * 10), (7, [6] * 5), (STREAM_BLOCK_IDS, [30])):
+                calls.clear()
+                with mock.patch.object(core, "STREAM_BLOCK_IDS", bound):
+                    streams = StreamGrid(1, 5, 10, [4, 0, 2])
+                for t in range(10):
+                    for c in (0, 2, 4):
+                        streams.rng(t, c)
+                assert calls == sizes
+
+    @pytest.mark.parametrize(
+        "purpose, rounds, clients, message",
+        [
+            (1 << 16, 1, [0], "substream purpose out of range: 65536"),
+            (5, STREAM_FIELD_LIMIT + 1, [0], f"substream component a out of range: {STREAM_FIELD_LIMIT}"),
+            (5, 1, [3, STREAM_FIELD_LIMIT], f"substream component b out of range: {STREAM_FIELD_LIMIT}"),
+            (5, 1, [3, -1], "substream component b out of range: -1"),
+        ],
+    )
+    def test_out_of_range_fields_raise_substreams_error(self, purpose, rounds, clients, message):
+        with pytest.raises(ValueError) as e:
+            StreamGrid(0, purpose, rounds, clients)
+        assert str(e.value) == message
+
+    def test_rounds_outside_the_grid_are_refused(self):
+        streams = StreamGrid(0, 5, 3, [0])
+        for t in (-1, 3):
+            with pytest.raises(IndexError):
+                streams.rng(t, 0)
 
     def test_preset_words_serve_only_pcg64s_request(self):
         preset = _preset_words_type()(np.zeros(4, dtype=np.uint64))

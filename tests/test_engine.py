@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fedwatch import core
 from fedwatch.aggregators import AGGREGATORS
 from fedwatch.config import ConfigError, build_config, eval_split_size, set_by_path
 from fedwatch.core import Rng, substream
@@ -487,6 +488,46 @@ class TestRoundPhases:
             poisoned = [u for kind, u in calls if kind == "poison_update"]
             assert [u.client for u in poisoned] == [1, 4]
             assert all(u is trained[u.client] for u in poisoned)
+
+
+class TestStreamBlocks:
+    """Where a block of rounds' streams ends moves no stream."""
+
+    def config(self):
+        # Attacker 7 drops out at round 3 and attacker 2 at round 6, so who
+        # trains and who poisons changes across block edges.
+        return cfg(
+            num_clients=9,
+            rounds=8,
+            malicious={"kind": "gaussian_noise", "magnitude": 0.02, "targets": [2, 7]},
+            aggregator={"name": "sigma_pid", "params": {"sigma_k": 1.5}},
+            reputation={"enabled": True, "decay_lambda": 0.5, "participation_threshold": 0.5},
+        )
+
+    # 1: every block one round; 6: poisoning blocks of 3 rounds; 27: training
+    # blocks of 3 rounds.
+    @pytest.mark.parametrize("bound", [1, 6, 27])
+    def test_block_edges_move_no_stream(self, bound, monkeypatch):
+        conf = self.config()
+        want = run(conf)
+        assert [m.non_participants for m in want.metrics] == [()] * 3 + [(7,)] * 3 + [(2, 7)] * 2
+        monkeypatch.setattr(core, "STREAM_BLOCK_IDS", bound)
+        got = run(conf)
+        assert metrics_to_csv(got.metrics) == metrics_to_csv(want.metrics)
+        assert got.final_params.values.tobytes() == want.final_params.values.tobytes()
+
+    @pytest.mark.parametrize("bound, hashes", [(core.STREAM_BLOCK_IDS, 2), (27, 4)])
+    def test_each_block_is_hashed_once(self, bound, hashes, monkeypatch):
+        calls = []
+
+        def counted(entropy, original=core._seed_sequence_words):
+            calls.append(entropy.size)
+            return original(entropy)
+
+        monkeypatch.setattr(core, "_seed_sequence_words", counted)
+        monkeypatch.setattr(core, "STREAM_BLOCK_IDS", bound)
+        run(self.config())
+        assert len(calls) == hashes
 
 
 class TestOneStackPerRound:

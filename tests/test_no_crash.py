@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fedwatch.aggregators import AGGREGATORS
 from fedwatch.cli import main
 from fedwatch.config import ConfigError, build_config
+from fedwatch.core import STREAM_FIELD_LIMIT
 from fedwatch.engine import EngineError, run
 
 
@@ -103,3 +104,16 @@ def test_valid_config_runs_or_fails_cleanly(raw):
     else:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+
+
+def test_rounds_past_the_stream_id_field_exit_2(tmp_path):
+    # Refused while the config is built; a run would reach round 2**24,
+    # which no stream id can hold.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**HUGE_NOISE, "rounds": STREAM_FIELD_LIMIT + 1}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == f"error: rounds: must be <= {STREAM_FIELD_LIMIT}, got {STREAM_FIELD_LIMIT + 1}\n"
+    assert not (tmp_path / "out").exists()
