@@ -24,7 +24,16 @@ from .config import (
 )
 from .core import ClientId, ClientUpdate, ModelParams, Rng
 from .datagen import ClientShard, Dataset, HeterogeneitySpec, generate_synthetic, load_csv, partition
-from .engine import EngineError, RoundMetrics, RunResult, run, sweep, write_run_outputs
+from .engine import (
+    EngineError,
+    RoundMetrics,
+    RoundRecord,
+    RunResult,
+    rounds,
+    run,
+    sweep,
+    write_run_outputs,
+)
 from .trainer import TrainConfig, TrainingDivergedError, evaluate, local_train, loss_and_gradient
 from .trust import (
     ReputationConfig,

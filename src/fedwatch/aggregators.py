@@ -28,11 +28,14 @@ INTEGRAL_CAP = 10.0  # integral norm is clipped to this multiple of the error no
 
 @dataclass(frozen=True, eq=False)
 class AggregationDecision:
-    """Outcome of one aggregation: who was kept, who was not, and the delta."""
+    """Outcome of one aggregation: who was kept, who was not, and the delta.
+
+    ``delta`` is None only in a ``RunResult``, which keeps no model but the last.
+    """
 
     included: tuple[ClientId, ...]
     excluded: tuple[ClientId, ...]
-    delta: ModelParams
+    delta: ModelParams | None
     overhead_ops: int
     info: dict = field(default_factory=dict)
 

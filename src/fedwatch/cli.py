@@ -1,8 +1,8 @@
 """Command-line front door: run experiments, sweep parameters, list aggregators.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime/numeric
-failure, 4 I/O failure. Any failure prints one machine-parsable line to
-stderr prefixed ``error:``.
+failure or out of memory, 4 I/O failure. Any failure prints one
+machine-parsable line to stderr prefixed ``error:``.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(e))
     except EngineError as e:
         return _fail(EXIT_RUNTIME, str(e))
+    except MemoryError as e:
+        return _fail(EXIT_RUNTIME, f"out of memory: {e}" if str(e) else "out of memory")
 
 
 if __name__ == "__main__":

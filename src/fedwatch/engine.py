@@ -1,9 +1,10 @@
 """The round loop: broadcast, local train, attack, monitor, aggregate, apply.
 
-One ``run`` builds the federation from the config seed, then repeats the
-cycle for the configured number of rounds, asserting the literal global
-update rule (new params = old params + aggregation delta) and recording a
-metrics row plus a ledger entry per round. Identical configs give
+``rounds`` builds the federation from the config seed, then runs the
+cycle one round per step, applying the literal global update rule (new
+params = old params + aggregation delta) and yielding the round's record:
+its metrics row, model, decision, indicators and reputation. ``run`` keeps
+the metrics, the decisions and the last model. Identical configs give
 bit-identical outputs.
 
 A round has two phases: every participant trains, then every attacker
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -87,14 +88,13 @@ class RoundMetrics:
 
 @dataclass
 class RunResult:
+    """What ``run`` keeps of a run. Each decision's ``delta`` is None."""
+
     metrics: list[RoundMetrics]
     final_params: ModelParams
     initial_loss: float
     initial_accuracy: float
-    param_trace: list[ModelParams]
     decisions: list[AggregationDecision]
-    indicators: list[TrustIndicators]
-    reputation_trace: list[dict[ClientId, float]]
     ledger: ResourceLedger
 
 
@@ -177,37 +177,65 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
     return Dataset(data.features[:n_eval], data.labels[:n_eval]), shards
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge finite updates overflow distances to inf
-def run(config: SimConfig) -> RunResult:
-    """Execute every round and return the full trajectory."""
-    eval_data, shards = _build_data(config)
+@dataclass(frozen=True, eq=False)
+class RoundRecord:
+    """What one round saw and did; ``reputation`` and ``params`` are after it."""
+
+    t: int
+    participants: tuple[ClientId, ...]
+    indicators: TrustIndicators
+    decision: AggregationDecision
+    reputation: ReputationState
+    params: ModelParams
+    metrics: RoundMetrics
+
+
+class rounds(Iterator[RoundRecord]):
+    """A run, one round per step: iterating yields each round's RoundRecord.
+
+    Constructing it builds the data and evaluates the zero model, into
+    ``initial_params``, ``initial_loss`` and ``initial_accuracy``; ``ledger``
+    gains an entry a round. A failed round raises EngineError and ends the
+    run, as ``close()`` does. Construction and each step run under
+    np.errstate(over="ignore", invalid="ignore"), as huge finite updates
+    overflow distances to inf, and leave it before they return, so the
+    consumer never runs under it.
+    """
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, config: SimConfig):
+        eval_data, shards = _build_data(config)
+        self.initial_params = ModelParams.zeros((config.dataset.classes, eval_data.num_features))
+        self.initial_loss, self.initial_accuracy = evaluate(self.initial_params, eval_data)
+        self.ledger = ResourceLedger(alpha=config.resource.alpha, beta=config.resource.beta)
+        self._steps = _play(config, eval_data, shards, self.initial_params, self.ledger)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __next__(self) -> RoundRecord:
+        return next(self._steps)
+
+    def close(self) -> None:
+        self._steps.close()
+
+
+def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
+          params: ModelParams, ledger: ResourceLedger) -> Iterator[RoundRecord]:
+    """The round loop of ``rounds``, from the model ``params``."""
     all_clients = tuple(range(config.num_clients))
     malicious = set(config.malicious.targets)
     model_attack = config.malicious.kind != "label_flip" and bool(config.malicious.targets)
-
-    shape = (config.dataset.classes, eval_data.num_features)
-    params = ModelParams.zeros(shape)
     reputation = ReputationState.fresh(
         all_clients,
         decay_lambda=config.reputation.decay_lambda,
         participation_threshold=config.reputation.participation_threshold,
     )
-    ledger = ResourceLedger(alpha=config.resource.alpha, beta=config.resource.beta)
     pid_state: PidState | None = None
     agg = config.aggregator
     needed = AGGREGATORS[agg.name].min_clients(agg.params)
-
-    initial_loss, initial_accuracy = evaluate(params, eval_data)
     # Per-round streams, each in the state Rng(seed, substream(purpose, t,
     # cid)) gives; a grid seeds a block of rounds with one hash call.
     train_streams = StreamGrid(config.seed, STREAM_TRAIN, config.rounds, all_clients)
     poison_streams = StreamGrid(config.seed, STREAM_POISON, config.rounds, config.malicious.targets)
-
-    metrics: list[RoundMetrics] = []
-    decisions: list[AggregationDecision] = []
-    indicators_log: list[TrustIndicators] = []
-    param_trace = [params]
-    reputation_trace: list[dict[ClientId, float]] = []
 
     for t in range(config.rounds):
         updates: dict[ClientId, ClientUpdate] = {}
@@ -244,7 +272,7 @@ def run(config: SimConfig) -> RunResult:
 
         # One stack serves the monitor and the aggregator, distances included.
         stack = stack_updates(updates.values())
-        indicators_log.append(compute_indicators(stack, params, reputation))
+        indicators = compute_indicators(stack, params, reputation)
         try:
             decision, pid_state = aggregate(agg.name, agg.params, stack, pid_state)
             # The one and only mutation of the global model.
@@ -252,15 +280,12 @@ def run(config: SimConfig) -> RunResult:
         except ValueError:
             raise EngineError(f"round {t}: {agg.name} gave a model that is not finite") from None
         del stack  # the next round trains without this round's matrix
-        param_trace.append(params)
         # A client left out of updates is excluded as well.
         excluded = tuple(sorted(participant_set.difference(decision.included)))
         decision = replace(decision, excluded=excluded)
-        decisions.append(decision)
 
         if config.reputation.enabled:
             reputation = update_reputation(reputation, decision)
-        reputation_trace.append(dict(reputation.reputation))
 
         loss, accuracy = evaluate(params, eval_data)
         cost = float(
@@ -279,37 +304,37 @@ def run(config: SimConfig) -> RunResult:
         fp, tn = len(caught) - tp, len(passed) - fn
         excl_accuracy, excl_precision, excl_recall = confusion_rates(tp, fp, tn, fn)
 
-        metrics.append(
-            RoundMetrics(
-                round=t,
-                global_loss=loss,
-                global_accuracy=accuracy,
-                tp=tp,
-                fp=fp,
-                tn=tn,
-                fn=fn,
-                excl_accuracy=excl_accuracy,
-                excl_precision=excl_precision,
-                excl_recall=excl_recall,
-                excluded_ids=excluded,
-                non_participants=non_participants,
-                cost=cost,
-                overhead=overhead,
-                objective=objective,
-            )
+        metrics = RoundMetrics(
+            round=t,
+            global_loss=loss,
+            global_accuracy=accuracy,
+            tp=tp,
+            fp=fp,
+            tn=tn,
+            fn=fn,
+            excl_accuracy=excl_accuracy,
+            excl_precision=excl_precision,
+            excl_recall=excl_recall,
+            excluded_ids=excluded,
+            non_participants=non_participants,
+            cost=cost,
+            overhead=overhead,
+            objective=objective,
         )
+        yield RoundRecord(t, participants, indicators, decision, reputation, params, metrics)
 
-    return RunResult(
-        metrics=metrics,
-        final_params=params,
-        initial_loss=initial_loss,
-        initial_accuracy=initial_accuracy,
-        param_trace=param_trace,
-        decisions=decisions,
-        indicators=indicators_log,
-        reputation_trace=reputation_trace,
-        ledger=ledger,
-    )
+
+def run(config: SimConfig) -> RunResult:
+    """Every round of ``rounds(config)``, folded into what the outputs read;
+    a caller that wants more of each round iterates ``rounds`` itself."""
+    steps = rounds(config)
+    result = RunResult([], steps.initial_params, steps.initial_loss, steps.initial_accuracy,
+                       [], steps.ledger)
+    for record in steps:
+        result.metrics.append(record.metrics)
+        result.decisions.append(replace(record.decision, delta=None))
+        result.final_params = record.params
+    return result
 
 
 # --- persistence ---------------------------------------------------------

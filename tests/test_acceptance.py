@@ -17,7 +17,7 @@ from fedwatch.cli import main as cli_main
 from fedwatch.config import build_config
 from fedwatch.core import ClientUpdate, ModelParams, Rng
 from fedwatch.datagen import Dataset
-from fedwatch.engine import run, sweep
+from fedwatch.engine import rounds, run, sweep
 from fedwatch.trainer import loss_and_gradient
 from fedwatch.trust import ReputationState, update_reputation
 
@@ -159,12 +159,14 @@ def test_criterion_3_aggregator_oracles():
 
 
 def test_criterion_4_update_rule_identity():
-    result = run(scenario(1, "multi_krum", {"byzantine_f": 4, "multi_krum_m": 12}))
-    assert len(result.metrics) == 20
+    steps = rounds(scenario(1, "multi_krum", {"byzantine_f": 4, "multi_krum_m": 12}))
+    records = list(steps)
+    assert len(records) == 20
+    params = [steps.initial_params] + [r.params for r in records]
     ok = True
-    for t, d in enumerate(result.decisions):
-        expected = result.param_trace[t].values + d.delta.values
-        ok &= bool(np.array_equal(result.param_trace[t + 1].values, expected))
+    for t, r in enumerate(records):
+        expected = params[t].values + r.decision.delta.values
+        ok &= bool(np.array_equal(params[t + 1].values, expected))
     report(4, ok, "theta_next == theta + decision.delta, bit-exact, 20 rounds")
 
 
@@ -258,17 +260,18 @@ def test_criterion_8_reputation_dynamics():
         ok &= abs(state.reputation[0] - 0.9**t) <= 1e-12
         ok &= 0.0 <= state.reputation[0] <= 1.0
 
-    result = run(scenario(1, "multi_krum", {"byzantine_f": 4, "multi_krum_m": 12}))
-    for snapshot in result.reputation_trace:
+    records = list(rounds(scenario(1, "multi_krum", {"byzantine_f": 4, "multi_krum_m": 12})))
+    reputation_trace = [r.reputation.reputation for r in records]
+    for snapshot in reputation_trace:
         ok &= all(0.0 <= r <= 1.0 for r in snapshot.values())
     always_excluded = [
         c for c in range(20)
-        if all(c in m.excluded_ids for m in result.metrics)
+        if all(c in r.metrics.excluded_ids for r in records)
     ]
     ok &= len(always_excluded) > 0
     for c in always_excluded:
-        for t in range(len(result.metrics)):
-            ok &= abs(result.reputation_trace[t][c] - 0.9 ** (t + 1)) <= 1e-12
+        for t in range(len(records)):
+            ok &= abs(reputation_trace[t][c] - 0.9 ** (t + 1)) <= 1e-12
     report(8, ok, f"decay matches 0.9^t; {len(always_excluded)} always-excluded clients checked")
 
 

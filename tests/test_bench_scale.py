@@ -19,16 +19,15 @@ def load(path, name):
 def test_smoke_one_row_per_cell_in_table_order(tmp_path, capsys):
     # sizes are tiny and no timing is asserted: this checks the script runs
     script = load(SCRIPT, "bench_scale")
-    script.CELLS = [(5, 1, ("fedavg", "bulyan")), (6, 3, ("fedavg",))]
+    script.CELLS = [(5, 1, 2, ("fedavg", "bulyan")), (6, 3, 3, ("fedavg",))]
     out = tmp_path / "BENCH_scale.json"
     assert script.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["rounds"] == 2
     system = load(ROOT / "benchmark" / "system.py", "benchmark_system")
     assert set(report["environment"]) == set(system.environment(str(ROOT)))
     rows = report["rows"]
-    assert [(r["n"], r["d"], r["aggregator"]) for r in rows] == [
-        (5, 20, "fedavg"), (5, 20, "bulyan"), (6, 40, "fedavg"),
+    assert [(r["n"], r["d"], r["rounds"], r["aggregator"]) for r in rows] == [
+        (5, 20, 2, "fedavg"), (5, 20, 2, "bulyan"), (6, 40, 3, "fedavg"),
     ]
     tracing = load(ROOT / "benchmark" / "tracing.py", "benchmark_tracing")
     phases = set(tracing.WRAPPED) - {"build_config", "write_run_outputs"} | {"other"}
@@ -44,17 +43,18 @@ def test_n_and_aggregators_keep_only_matching_cells(tmp_path, monkeypatch):
     script = load(SCRIPT, "bench_scale")
     measured = []
 
-    def fake_measure(n, features, aggregator, log_dir):
-        measured.append((n, features, aggregator))
+    def fake_measure(n, features, rounds, aggregator, log_dir):
+        measured.append((n, features, rounds, aggregator))
         return {"seconds": dict.fromkeys(script.PHASES + ("run", "other"), 0.0), "peak_rss_mb": 1.0}
 
     monkeypatch.setattr(script, "measure", fake_measure)
     argv = ["--n", "200,5000", "--aggregators", "krum,bulyan", "--out", str(tmp_path / "b.json")]
     assert script.main(argv) == 0
     assert measured == [
-        (200, 32, "krum"), (200, 32, "bulyan"), (5000, 32, "krum"),
-        (200, 256, "krum"), (200, 256, "bulyan"), (200, 1024, "krum"), (200, 1024, "bulyan"),
-        (200, 4096, "krum"), (200, 4096, "bulyan"),
+        (200, 32, 2, "krum"), (200, 32, 2, "bulyan"), (5000, 32, 2, "krum"),
+        (200, 256, 2, "krum"), (200, 256, 2, "bulyan"),
+        (200, 1024, 2, "krum"), (200, 1024, 2, "bulyan"),
+        (200, 4096, 2, "krum"), (200, 4096, 2, "bulyan"),
     ]
 
 
@@ -63,10 +63,11 @@ def test_scale_config_is_valid_in_every_cell():
 
     script = load(SCRIPT, "bench_scale")
     cells = script.cells(None, None)
-    assert len(cells) == 27
-    for n, features, name in cells:
-        conf = build_config(script.scale_config(n, features, name))
-        assert conf.num_clients == n and conf.rounds == 2
+    assert len(cells) == 29
+    assert [c for c in cells if c[0] == 20] == [(20, 4096, 2, "fedavg"), (20, 4096, 200, "fedavg")]
+    for n, features, rounds, name in cells:
+        conf = build_config(script.scale_config(n, features, rounds, name))
+        assert conf.num_clients == n and conf.rounds == rounds
         assert conf.dataset.classes * (conf.dataset.features + 1) == script.CLASSES * (features + 1)
 
 
@@ -75,14 +76,15 @@ def test_committed_record_has_one_row_per_cell_of_the_table():
     system = load(ROOT / "benchmark" / "system.py", "benchmark_system")
     report = json.loads((ROOT / "BENCH_scale.json").read_text())
     assert set(report["environment"]) == set(system.environment(str(ROOT)))
-    assert [(r["n"], r["d"], r["aggregator"]) for r in report["rows"]] == [
-        (n, script.CLASSES * (features + 1), name) for n, features, name in script.cells(None, None)]
+    assert [(r["n"], r["d"], r["rounds"], r["aggregator"]) for r in report["rows"]] == [
+        (n, script.CLASSES * (features + 1), rounds, name)
+        for n, features, rounds, name in script.cells(None, None)]
 
 
 def test_cell_child_times_the_phases_it_is_handed_and_imports_no_benchmark_module():
     code = "\n".join([
         "import runpy, sys",
-        f"sys.argv = [{str(SCRIPT)!r}, '--cell', '5,1,fedavg,local_train,aggregate']",
+        f"sys.argv = [{str(SCRIPT)!r}, '--cell', '5,1,2,fedavg,local_train,aggregate']",
         "try:",
         "    runpy.run_path(sys.argv[0], run_name='__main__')",
         "except SystemExit as e:",

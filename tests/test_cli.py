@@ -437,6 +437,23 @@ class TestConfigErrorPaths:
         assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
 
+class TestOutOfMemory:
+    """A size numpy refuses to allocate exits 3 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("field, value", [("features", 10**13), ("samples_per_class", 10**15)])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_default_config_too_large_exits_3(self, tmp_path, capsys, command, field, value):
+        raw = json.loads((ROOT / "configs" / "default.json").read_text())
+        raw["dataset"][field] = value
+        argv = [command, "--config", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "seed", "--values", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert err.count("\n") == 1
+
+
 class TestListAggregators:
     def test_roster(self, capsys):
         assert main(["list-aggregators"]) == 0

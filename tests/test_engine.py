@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -21,9 +22,12 @@ from fedwatch.engine import (
     _build_data,
     confusion_rates,
     metrics_to_csv,
+    rounds,
     run,
     sweep,
 )
+from fedwatch.trust import LedgerEntry
+from test_no_crash import HUGE_NOISE
 
 
 def cfg(**overrides):
@@ -82,11 +86,14 @@ class TestRun:
         assert result.initial_loss == pytest.approx(math.log(3), abs=1e-6)
 
     def test_update_rule_identity_every_round(self):
-        result = run(cfg(rounds=8))
-        for t, decision in enumerate(result.decisions):
-            expected = result.param_trace[t].values + decision.delta.values
-            assert np.array_equal(result.param_trace[t + 1].values, expected)
-        assert np.array_equal(result.param_trace[-1].values, result.final_params.values)
+        steps = rounds(cfg(rounds=8))
+        records = list(steps)
+        assert len(records) == 8
+        params = [steps.initial_params] + [r.params for r in records]
+        for t, record in enumerate(records):
+            expected = params[t].values + record.decision.delta.values
+            assert np.array_equal(params[t + 1].values, expected)
+        assert np.array_equal(params[-1].values, run(cfg(rounds=8)).final_params.values)
 
     def test_metrics_cardinality_and_confusion_totals(self):
         result = run(cfg(rounds=5, malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]}))
@@ -173,18 +180,19 @@ class TestRun:
             train={"learning_rate": 0.5, "local_epochs": 2, "batch_size": 16, "l2_reg": 1e-4},
             reputation={"enabled": True, "decay_lambda": 0.9, "participation_threshold": 0.5},
         )
-        result = run(conf)
-        for snapshot in result.reputation_trace:
+        records = list(rounds(conf))
+        reputation_trace = [r.reputation.reputation for r in records]
+        for snapshot in reputation_trace:
             assert all(0.0 <= r <= 1.0 for r in snapshot.values())
         # once reputation dips below the gate the client stops participating
-        if any(result.reputation_trace[t][8] < 0.5 for t in range(len(result.metrics) - 1)):
-            assert any(8 in m.non_participants for m in result.metrics)
+        if any(reputation_trace[t][8] < 0.5 for t in range(len(records) - 1)):
+            assert any(8 in r.metrics.non_participants for r in records)
 
     def test_reputation_disabled_keeps_everyone(self):
         conf = cfg(reputation={"enabled": False, "decay_lambda": 0.9, "participation_threshold": 0.9})
-        result = run(conf)
-        assert all(m.non_participants == () for m in result.metrics)
-        assert all(r == 1.0 for r in result.reputation_trace[-1].values())
+        records = list(rounds(conf))
+        assert all(r.metrics.non_participants == () for r in records)
+        assert all(r == 1.0 for r in records[-1].reputation.reputation.values())
 
     def test_ledger_identity_and_totals(self):
         conf = cfg(resource={"alpha": 0.5, "beta": 0.25})
@@ -404,14 +412,14 @@ class TestDivergedClientsAreNotScored:
         return build_config(raw)
 
     def test_fedavg_reports_no_true_positives(self):
-        result = run(self.overflowing_fedavg())
-        assert len(result.metrics) == 2
-        for m in result.metrics:
+        records = list(rounds(self.overflowing_fedavg()))
+        assert len(records) == 2
+        for m in (r.metrics for r in records):
             assert m.excluded_ids == (2, 5)
             assert (m.tp, m.fp, m.tn, m.fn) == (0, 0, 6, 0)
             assert (m.excl_precision, m.excl_recall, m.excl_accuracy) == (1.0, 1.0, 1.0)
         # the reputation penalty for the excluded clients is unchanged
-        last = result.reputation_trace[-1]
+        last = records[-1].reputation.reputation
         assert last[2] < last[0] and last[5] < last[0]
 
     @pytest.mark.filterwarnings("error")
@@ -550,13 +558,80 @@ class TestOneStackPerRound:
 
         monkeypatch.setattr(aggregators, "UpdateStack", CountedStack)
         monkeypatch.setattr(aggregators, "robust_distances", counted_distances)
-        result = run(cfg(rounds=3, aggregator={"name": name, "params": {}}))
+        records = list(rounds(cfg(rounds=3, aggregator={"name": name, "params": {}})))
         assert len(built) == 3
         assert len(measured) == 3
         assert all(mat is stack.mat for mat, stack in zip(measured, built))
         if name == "sigma_pid":
-            for decision, indicators in zip(result.decisions, result.indicators):
-                assert decision.info["distances"] == indicators.distance
+            for record in records:
+                assert record.decision.info["distances"] == record.indicators.distance
+
+
+class TestRoundsIterator:
+    """``rounds`` yields one record a round; ``run`` keeps no trajectory."""
+
+    @staticmethod
+    def retained_bytes(conf) -> int:
+        """Traced bytes that ``run(conf)``'s result keeps alive."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run(conf)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result.metrics) == conf.rounds
+        return kept
+
+    def test_run_keeps_less_than_one_model_per_round(self):
+        dataset = {"classes": 10, "features": 256, "samples_per_class": 40, "cluster_spread": 0.5}
+        model_bytes = 10 * 257 * 8  # 20,560
+        run(cfg(rounds=2, dataset=dataset))  # warm-up: imports and caches
+        short = self.retained_bytes(cfg(rounds=2, dataset=dataset))
+        long = self.retained_bytes(cfg(rounds=30, dataset=dataset))
+        assert (long - short) / 28 < model_bytes
+
+    def test_run_keeps_each_rounds_metrics_and_decision_without_delta(self):
+        conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]},
+                   aggregator={"name": "sigma_pid", "params": {}})
+        records = list(rounds(conf))
+        result = run(conf)
+        assert result.metrics == [r.metrics for r in records]
+        assert [d.delta for d in result.decisions] == [None] * conf.rounds
+        for kept, r in zip(result.decisions, records):
+            assert kept.included == r.decision.included and kept.excluded == r.decision.excluded
+            assert kept.info == r.decision.info
+        assert result.final_params.values.tobytes() == records[-1].params.values.tobytes()
+        assert result.ledger.entries == [
+            LedgerEntry(m.global_loss, m.cost, m.overhead, m.objective) for m in result.metrics
+        ]
+
+    def test_construction_evaluates_the_zero_model(self):
+        steps = rounds(cfg(rounds=0))
+        assert np.all(steps.initial_params.values == 0.0)
+        assert steps.initial_loss == pytest.approx(math.log(3), abs=1e-9)
+        assert list(steps) == []
+
+    @pytest.mark.parametrize("stop", ["break", "close"])
+    def test_a_consumer_that_stops_after_round_0_keeps_its_errstate(self, stop):
+        left = np.geterr()
+        steps = rounds(build_config(HUGE_NOISE))
+        assert np.geterr() == left
+        seen = []
+        for record in steps:
+            assert np.geterr() == left  # the consumer never runs under the round's state
+            seen.append(record.t)
+            if stop == "break":
+                break
+            steps.close()
+        assert seen == [0]
+        assert np.geterr() == left
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_noise_rounds_warn_nothing(self):
+        assert [r.t for r in rounds(build_config(HUGE_NOISE))] == [0, 1]
 
 
 class TestCsvFormat:
