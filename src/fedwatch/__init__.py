@@ -39,7 +39,6 @@ from .trust import (
     ReputationConfig,
     ReputationState,
     ResourceConfig,
-    ResourceLedger,
     TrustIndicators,
     compute_indicators,
     ledger_record,

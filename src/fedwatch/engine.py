@@ -39,7 +39,6 @@ from .datagen import (
 from .trainer import TrainingDivergedError, evaluate, local_train
 from .trust import (
     ReputationState,
-    ResourceLedger,
     TrustIndicators,
     compute_indicators,
     ledger_record,
@@ -95,7 +94,6 @@ class RunResult:
     initial_loss: float
     initial_accuracy: float
     decisions: list[AggregationDecision]
-    ledger: ResourceLedger
 
 
 def _ratio(num: int, den: int) -> float:
@@ -182,7 +180,6 @@ class RoundRecord:
     """What one round saw and did; ``reputation`` and ``params`` are after it."""
 
     t: int
-    participants: tuple[ClientId, ...]
     indicators: TrustIndicators
     decision: AggregationDecision
     reputation: ReputationState
@@ -194,12 +191,11 @@ class rounds(Iterator[RoundRecord]):
     """A run, one round per step: iterating yields each round's RoundRecord.
 
     Constructing it builds the data and evaluates the zero model, into
-    ``initial_params``, ``initial_loss`` and ``initial_accuracy``; ``ledger``
-    gains an entry a round. A failed round raises EngineError and ends the
-    run, as ``close()`` does. Construction and each step run under
-    np.errstate(over="ignore", invalid="ignore"), as huge finite updates
-    overflow distances to inf, and leave it before they return, so the
-    consumer never runs under it.
+    ``initial_params``, ``initial_loss`` and ``initial_accuracy``. A failed
+    round raises EngineError and ends the run, as ``close()`` does.
+    Construction and each step run under np.errstate(over="ignore",
+    invalid="ignore"), as huge finite updates overflow distances to inf, and
+    leave it before they return, so the consumer never runs under it.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -207,8 +203,7 @@ class rounds(Iterator[RoundRecord]):
         eval_data, shards = _build_data(config)
         self.initial_params = ModelParams.zeros((config.dataset.classes, eval_data.num_features))
         self.initial_loss, self.initial_accuracy = evaluate(self.initial_params, eval_data)
-        self.ledger = ResourceLedger(alpha=config.resource.alpha, beta=config.resource.beta)
-        self._steps = _play(config, eval_data, shards, self.initial_params, self.ledger)
+        self._steps = _play(config, eval_data, shards, self.initial_params)
 
     @np.errstate(over="ignore", invalid="ignore")
     def __next__(self) -> RoundRecord:
@@ -219,7 +214,7 @@ class rounds(Iterator[RoundRecord]):
 
 
 def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
-          params: ModelParams, ledger: ResourceLedger) -> Iterator[RoundRecord]:
+          params: ModelParams) -> Iterator[RoundRecord]:
     """The round loop of ``rounds``, from the model ``params``."""
     all_clients = tuple(range(config.num_clients))
     malicious = set(config.malicious.targets)
@@ -272,7 +267,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
 
         # One stack serves the monitor and the aggregator, distances included.
         stack = stack_updates(updates.values())
-        indicators = compute_indicators(stack, params, reputation)
+        indicators = compute_indicators(stack, params)
         try:
             decision, pid_state = aggregate(agg.name, agg.params, stack, pid_state)
             # The one and only mutation of the global model.
@@ -292,8 +287,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             sum(config.train.local_epochs * shards[c].train.num_samples for c in participants)
         )
         overhead = float(decision.overhead_ops)
-        ledger_record(ledger, loss, cost, overhead)
-        objective = ledger.entries[-1].objective
+        objective = ledger_record(config.resource, loss, cost, overhead)
 
         # Defence quality is scored only on the updates the aggregator saw: a
         # client left out above stays in excluded_ids but is no true or false positive.
@@ -321,15 +315,14 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             overhead=overhead,
             objective=objective,
         )
-        yield RoundRecord(t, participants, indicators, decision, reputation, params, metrics)
+        yield RoundRecord(t, indicators, decision, reputation, params, metrics)
 
 
 def run(config: SimConfig) -> RunResult:
     """Every round of ``rounds(config)``, folded into what the outputs read;
     a caller that wants more of each round iterates ``rounds`` itself."""
     steps = rounds(config)
-    result = RunResult([], steps.initial_params, steps.initial_loss, steps.initial_accuracy,
-                       [], steps.ledger)
+    result = RunResult([], steps.initial_params, steps.initial_loss, steps.initial_accuracy, [])
     for record in steps:
         result.metrics.append(record.metrics)
         result.decisions.append(replace(record.decision, delta=None))

@@ -1,22 +1,22 @@
-"""Trust indicators, reputation gating, and the loss/cost/overhead ledger.
+"""Trust indicators, reputation gating, and the loss/cost/overhead objective.
 
 This is the monitoring side of the loop: per-round distance statistics
 over client updates, an exponentially decayed reputation per client that
-can gate participation, and a ledger that books each round's loss, the
-training cost spent, and the aggregator overhead into one combined
-objective (loss + alpha * cost + beta * overhead).
+can gate participation, and the combined objective that prices each
+round's loss, the training cost spent, and the aggregator overhead
+(loss + alpha * cost + beta * overhead).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .aggregators import AggregationDecision, stack_updates
 from .core import ClientId, ModelParams
 
 
-# The config's reputation and resource sections. ReputationState and
-# ResourceLedger take their defaults from them.
+# The config's reputation and resource sections. ReputationState takes
+# its defaults from the first, ledger_record its prices from the second.
 @dataclass(frozen=True)
 class ReputationConfig:
     enabled: bool = True
@@ -36,7 +36,6 @@ class TrustIndicators:
 
     distance: dict[ClientId, float]
     z_score: dict[ClientId, float]
-    reputation: dict[ClientId, float]
 
 
 @dataclass(frozen=True)
@@ -53,39 +52,16 @@ class ReputationState:
         return cls(reputation={int(c): 1.0 for c in clients}, **settings)
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    mean_loss: float
-    cost: float
-    overhead: float
-    objective: float
-
-
-@dataclass
-class ResourceLedger:
-    """Round-by-round accounting of the combined objective.
-
-    Bookkeeping identity: objective == mean_loss + alpha*cost + beta*overhead
-    exactly as computed.
-    """
-
-    alpha: float = ResourceConfig.alpha
-    beta: float = ResourceConfig.beta
-    entries: list[LedgerEntry] = field(default_factory=list)
-
-
-def compute_indicators(
-    updates, global_params: ModelParams, reputation: ReputationState
-) -> TrustIndicators:
+def compute_indicators(updates, global_params: ModelParams) -> TrustIndicators:
     """Distance-to-consensus and robust z-score per client.
 
     The reference is the coordinate-wise median of the deltas; z-scores
-    use median/MAD with the same floor as the sigma filter. Reputations
-    are copied from the current state. ``global_params`` is the broadcast
-    model the deltas are relative to and is used for shape validation.
-    ``updates`` is the round's UpdateStack or any iterable of updates,
-    which is ordered and checked as every aggregator's are. The distances
-    are the stack's own, so ``sigma_pid`` given the same stack reuses them.
+    use median/MAD with the same floor as the sigma filter. ``global_params``
+    is the broadcast model the deltas are relative to and is used for shape
+    validation. ``updates`` is the round's UpdateStack or any iterable of
+    updates, which is ordered and checked as every aggregator's are. The
+    distances are the stack's own, so ``sigma_pid`` given the same stack
+    reuses them.
     """
     stack = stack_updates(updates)
     if stack.updates[0].delta.shape != global_params.shape:
@@ -94,7 +70,6 @@ def compute_indicators(
     return TrustIndicators(
         distance={c: float(d) for c, d in zip(stack.ids, dists)},
         z_score={c: float((d - med) / scale) for c, d in zip(stack.ids, dists)},
-        reputation={c: reputation.reputation[c] for c in stack.ids},
     )
 
 
@@ -108,14 +83,11 @@ def update_reputation(
     """
     lam = state.decay_lambda
     rep = dict(state.reputation)
-    for cid in decision.included:
-        if cid not in rep:
-            raise ValueError(f"unknown client id {cid}")
-        rep[cid] = lam * rep[cid] + (1.0 - lam)
-    for cid in decision.excluded:
-        if cid not in rep:
-            raise ValueError(f"unknown client id {cid}")
-        rep[cid] = lam * rep[cid]
+    for bit, ids in ((1.0, decision.included), (0.0, decision.excluded)):
+        for cid in ids:
+            if cid not in rep:
+                raise ValueError(f"unknown client id {cid}")
+            rep[cid] = lam * rep[cid] + (1.0 - lam) * bit
     return replace(state, reputation=rep)
 
 
@@ -137,13 +109,9 @@ def select_participants(
 
 
 def ledger_record(
-    ledger: ResourceLedger, mean_loss: float, cost: float, overhead: float
-) -> ResourceLedger:
-    """Append one round's entry; the objective is computed here, once."""
+    resource: ResourceConfig, mean_loss: float, cost: float, overhead: float
+) -> float:
+    """One round's objective: mean_loss + alpha * cost + beta * overhead."""
     if cost < 0 or overhead < 0:
         raise ValueError("cost and overhead must be non-negative")
-    objective = mean_loss + ledger.alpha * cost + ledger.beta * overhead
-    ledger.entries.append(
-        LedgerEntry(mean_loss=mean_loss, cost=cost, overhead=overhead, objective=objective)
-    )
-    return ledger
+    return mean_loss + resource.alpha * cost + resource.beta * overhead

@@ -244,9 +244,9 @@ def test_criterion_7_ledger_identity_and_overhead_ordering():
         cfg_dict = dict(base)
         cfg_dict["aggregator"] = {"name": name, "params": params}
         result = run(build_config(cfg_dict))
-        for m, e in zip(result.metrics, result.ledger.entries):
-            recomputed = e.mean_loss + 0.001 * e.cost + 0.01 * e.overhead
-            ok &= abs(m.objective - recomputed) <= 1e-12
+        for m in result.metrics:
+            recomputed = m.global_loss + 0.001 * m.cost + 0.01 * m.overhead
+            ok &= m.objective == recomputed
         totals[name] = sum(m.overhead for m in result.metrics)
     ok &= totals["krum"] > totals["fedavg"]
     report(7, ok, f"total overhead krum={totals['krum']:.0f} > fedavg={totals['fedavg']:.0f}")

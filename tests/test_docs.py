@@ -1,5 +1,5 @@
 """README names each experiment script that exists, and only those, and
-its CLI examples run."""
+its CLI and library examples run."""
 
 import pathlib
 import re
@@ -31,3 +31,10 @@ def test_readme_cli_block_commands_exit_zero(tmp_path, monkeypatch, capsys):
             argv[argv.index("--out") + 1] = str(tmp_path / f"out{i}")
         assert cli.main(argv[1:]) == 0, " ".join(argv)
     assert "error:" not in capsys.readouterr().err
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md: Library use", "exec"), {})
+    assert capsys.readouterr().out.strip()

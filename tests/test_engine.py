@@ -26,7 +26,7 @@ from fedwatch.engine import (
     run,
     sweep,
 )
-from fedwatch.trust import LedgerEntry
+from fedwatch.trust import ReputationState, update_reputation
 from test_no_crash import HUGE_NOISE
 
 
@@ -197,9 +197,9 @@ class TestRun:
     def test_ledger_identity_and_totals(self):
         conf = cfg(resource={"alpha": 0.5, "beta": 0.25})
         result = run(conf)
-        for m, e in zip(result.metrics, result.ledger.entries):
-            assert m.objective == e.mean_loss + 0.5 * e.cost + 0.25 * e.overhead
-            assert abs(m.objective - (m.global_loss + 0.5 * m.cost + 0.25 * m.overhead)) <= 1e-12
+        assert len(result.metrics) == conf.rounds
+        for m in result.metrics:
+            assert m.objective == m.global_loss + 0.5 * m.cost + 0.25 * m.overhead
 
     def test_cost_counts_epochs_times_samples(self):
         conf = cfg(rounds=1)
@@ -604,9 +604,20 @@ class TestRoundsIterator:
             assert kept.included == r.decision.included and kept.excluded == r.decision.excluded
             assert kept.info == r.decision.info
         assert result.final_params.values.tobytes() == records[-1].params.values.tobytes()
-        assert result.ledger.entries == [
-            LedgerEntry(m.global_loss, m.cost, m.overhead, m.objective) for m in result.metrics
-        ]
+
+    def test_each_rounds_reputation_follows_from_the_previous_record(self):
+        conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]},
+                   aggregator={"name": "sigma_pid", "params": {}})
+        before = ReputationState.fresh(
+            range(conf.num_clients),
+            decay_lambda=conf.reputation.decay_lambda,
+            participation_threshold=conf.reputation.participation_threshold,
+        )
+        records = list(rounds(conf))
+        assert any(r.decision.excluded for r in records)
+        for r in records:
+            assert r.reputation == update_reputation(before, r.decision)
+            before = r.reputation
 
     def test_construction_evaluates_the_zero_model(self):
         steps = rounds(cfg(rounds=0))

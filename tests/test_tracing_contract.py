@@ -52,6 +52,8 @@ def test_traced_run_counts_and_restores():
     assert counts["aggregators.submitted"] == 12
     assert counts["trainer.sgd_steps"] > 0
     assert counts["engine.run.calls"] == 1
+    assert counts["trust.compute_indicators.calls"] == 2
+    assert counts["trust.ledger_record.calls"] == 2
     for attr, fn in originals.items():
         assert getattr(engine, attr) is fn, attr
     tracing.assert_clean(engine, originals)

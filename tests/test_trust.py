@@ -9,7 +9,6 @@ from fedwatch.trust import (
     ReputationConfig,
     ReputationState,
     ResourceConfig,
-    ResourceLedger,
     compute_indicators,
     ledger_record,
     select_participants,
@@ -36,45 +35,32 @@ def decision(included, excluded):
 
 class TestComputeIndicators:
     def test_identical_deltas_give_zero_z(self):
-        state = ReputationState.fresh(range(4))
         ups = [upd(i, [1.0, 2.0]) for i in range(4)]
-        ind = compute_indicators(ups, ModelParams.zeros((1, 1)), state)
+        ind = compute_indicators(ups, ModelParams.zeros((1, 1)))
         assert all(z == 0.0 for z in ind.z_score.values())
         assert all(d == 0.0 for d in ind.distance.values())
 
     def test_far_outlier_is_the_only_high_z(self):
-        state = ReputationState.fresh(range(5))
         ups = [upd(i, [0.1 * (1 if i % 2 else -1), 0.0]) for i in range(4)]
         ups.append(upd(4, [5.0, 0.0]))
-        ind = compute_indicators(ups, ModelParams.zeros((1, 1)), state)
+        ind = compute_indicators(ups, ModelParams.zeros((1, 1)))
         flagged = [c for c, z in ind.z_score.items() if z > 2.5]
         assert flagged == [4]
 
-    def test_fresh_reputation_copied(self):
-        state = ReputationState.fresh(range(3))
-        ups = [upd(i, [float(i), 0.0]) for i in range(3)]
-        ind = compute_indicators(ups, ModelParams.zeros((1, 1)), state)
-        assert ind.reputation == {0: 1.0, 1: 1.0, 2: 1.0}
-
     def test_duplicate_ids_rejected(self):
-        state = ReputationState.fresh(range(2))
         with pytest.raises(ValueError, match="duplicate client ids"):
             compute_indicators(
                 [upd(0, [1.0, 0.0]), upd(1, [2.0, 0.0]), upd(0, [3.0, 0.0])],
                 ModelParams.zeros((1, 1)),
-                state,
             )
 
     def test_empty_round_rejected(self):
         with pytest.raises(ValueError):
-            compute_indicators([], ModelParams.zeros((1, 1)), ReputationState.fresh(range(1)))
+            compute_indicators([], ModelParams.zeros((1, 1)))
 
     def test_shape_mismatch_rejected(self):
-        state = ReputationState.fresh(range(1))
         with pytest.raises(ValueError):
-            compute_indicators(
-                [upd(0, [1.0, 0.0])], ModelParams.zeros((2, 2)), state
-            )
+            compute_indicators([upd(0, [1.0, 0.0])], ModelParams.zeros((2, 2)))
 
 
 class TestUpdateReputation:
@@ -152,30 +138,27 @@ class TestSelectParticipants:
 
 class TestLedger:
     def test_objective_reduces_to_loss_when_free(self):
-        ledger = ResourceLedger(alpha=0.0, beta=0.0)
-        ledger_record(ledger, mean_loss=0.42, cost=100.0, overhead=50.0)
-        assert ledger.entries[-1].objective == 0.42
+        free = ResourceConfig(alpha=0.0, beta=0.0)
+        assert ledger_record(free, mean_loss=0.42, cost=100.0, overhead=50.0) == 0.42
 
     def test_combined_objective_arithmetic(self):
-        ledger = ResourceLedger(alpha=1.0, beta=1.0)
-        ledger_record(ledger, mean_loss=0.5, cost=2.0, overhead=3.0)
-        assert ledger.entries[-1].objective == 5.5
+        assert ledger_record(ResourceConfig(alpha=1.0, beta=1.0), 0.5, 2.0, 3.0) == 5.5
 
     def test_identity_holds_exactly(self):
         rng = Rng(77)
-        ledger = ResourceLedger(alpha=0.125, beta=0.25)
+        resource = ResourceConfig(alpha=0.125, beta=0.25)
         for _ in range(100):
             loss = float(rng.random() * 3)
             cost = float(rng.integers(0, 1000))
             overhead = float(rng.integers(0, 500))
-            ledger_record(ledger, loss, cost, overhead)
-            e = ledger.entries[-1]
-            assert e.objective == loss + 0.125 * cost + 0.25 * overhead
+            objective = ledger_record(resource, loss, cost, overhead)
+            assert objective == loss + 0.125 * cost + 0.25 * overhead
 
     def test_rejects_negative_resources(self):
-        ledger = ResourceLedger()
         with pytest.raises(ValueError):
-            ledger_record(ledger, 0.1, -1.0, 0.0)
+            ledger_record(ResourceConfig(), 0.1, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            ledger_record(ResourceConfig(), 0.1, 0.0, -1.0)
 
 
 class TestDefaultsComeFromTheConfigSections:
@@ -186,8 +169,9 @@ class TestDefaultsComeFromTheConfigSections:
             assert state.participation_threshold == cfg.participation_threshold
 
     def test_ledger_defaults(self):
-        ledger, cfg = ResourceLedger(), ResourceConfig()
-        assert (ledger.alpha, ledger.beta, ledger.entries) == (cfg.alpha, cfg.beta, [])
+        cfg = ResourceConfig()
+        objective = ledger_record(cfg, mean_loss=0.3, cost=7.0, overhead=2.0)
+        assert objective == 0.3 + cfg.alpha * 7.0 + cfg.beta * 2.0
 
     def test_config_module_reexports_the_sections(self):
         import fedwatch
