@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClientId, ClientUpdate, ModelParams
+from .core import ClientId, ModelParams
 
 MAD_SCALE = 1.4826  # normal-consistency factor for the median absolute deviation
 MAD_FLOOR = 1e-9
@@ -58,20 +58,22 @@ class PidState:
 class UpdateStack:
     """One round's updates, checked and stacked once for every reader.
 
-    ``updates`` are sorted by client id and ``ids`` are theirs; row i of
-    ``mat`` is update i's delta and ``weights[i]`` its sample count as a
-    float. Both arrays are read-only, since the monitor and the aggregator
-    share them. ``len`` counts the updates; ``stack_updates`` returns a
-    stack it is given, so a stack can stand wherever updates are accepted.
+    ``ids`` ascend; row i of ``mat`` is client ids[i]'s delta, ``weights[i]``
+    its sample count as a float, and ``shape`` every delta's shape. Both
+    arrays are read-only, since the monitor and the aggregator share them.
+    The stack keeps no ClientUpdate, so a round whose updates are dropped
+    once stacked holds its deltas once, in ``mat``. ``len`` counts the
+    updates; ``stack_updates`` returns a stack it is given, so a stack can
+    stand wherever updates are accepted.
     """
 
     ids: list[ClientId]
-    updates: list[ClientUpdate]
     mat: np.ndarray
     weights: np.ndarray
+    shape: tuple[int, int]
 
     def __len__(self) -> int:
-        return len(self.updates)
+        return len(self.ids)
 
     @cached_property
     def distances(self) -> tuple[np.ndarray, float, float]:
@@ -103,7 +105,7 @@ def stack_updates(updates) -> UpdateStack:
     weights = np.asarray([float(u.num_samples) for u in ups])
     mat.flags.writeable = False
     weights.flags.writeable = False
-    return UpdateStack(ids, ups, mat, weights)
+    return UpdateStack(ids, mat, weights, shape)
 
 
 def _checked(name: str, updates, **params) -> tuple:
@@ -135,12 +137,12 @@ def _decision(stack: UpdateStack, keep, delta, overhead_ops: int,
     """The decision that includes rows ``keep`` (ascending; None keeps all)
     of ``stack`` and excludes the rest.
 
-    A delta given as an array takes the updates' shape; a ModelParams is
+    A delta given as an array takes the stack's shape; a ModelParams is
     kept as it is.
     """
     kept = range(len(stack)) if keep is None else set(keep)
     if not isinstance(delta, ModelParams):
-        delta = ModelParams(delta, stack.updates[0].delta.shape)
+        delta = ModelParams(delta, stack.shape)
     return AggregationDecision(
         included=tuple(c for i, c in enumerate(stack.ids) if i in kept),
         excluded=tuple(c for i, c in enumerate(stack.ids) if i not in kept),
@@ -284,7 +286,8 @@ def krum(updates, byzantine_f: int) -> AggregationDecision:
     scores = _scores_for(stack.mat, f)
     best = int(np.argmin(scores))  # rows ascend by id, so ties go to the lowest
     info = {"scores": {stack.ids[i]: float(scores[i]) for i in range(n)}}
-    return _decision(stack, [best], stack.updates[best].delta, n * (n - 1) // 2 + 1, info)
+    # A copy: a view would keep the whole stack alive in every decision held.
+    return _decision(stack, [best], stack.mat[best].copy(), n * (n - 1) // 2 + 1, info)
 
 
 def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecision:
@@ -353,6 +356,37 @@ def _iterated_krum(sq: np.ndarray, f: int) -> list[int]:
     return picks
 
 
+def _trimmed_average(mat: np.ndarray, selected, keep: int, width: int) -> np.ndarray:
+    """Per column of ``mat[selected]``, the mean of the ``keep`` values
+    closest to the column's median, equal distances taking the smaller
+    value first, each summed one by one from 0.0, closest first.
+
+    Runs over column blocks ``width`` wide (at least 2), copying only one
+    block of the selected rows at a time; a 1-column tail joins the block
+    before it. Each column's arithmetic is its own, so the blocks give the
+    bits of one pass over all columns.
+    """
+    d = mat.shape[1]
+    total = np.empty(d)
+    for lo in range(0, d - 1, width):
+        hi = lo + width if lo + width < d - 1 else d
+        # Each column sorted by value, then stably by distance to its
+        # median: equal distances keep the smaller value first. Only equal
+        # values are left in np.sort's order, and those add to the same
+        # bits in any order.
+        cols = mat[:, lo:hi].take(selected, axis=0)
+        cols.sort(axis=0)
+        dist = np.subtract(cols, _sorted_median(cols))
+        rank = np.argsort(np.abs(dist, out=dist), axis=0, kind="stable")[:keep]
+        del dist
+        # A block is at least 2 columns wide, so axis 1 stays numpy's inner
+        # loop and each column is summed in row order, as in _scores_for;
+        # on one column numpy would sum pairwise.
+        np.add.reduce(np.take_along_axis(cols, rank, axis=0), axis=0, out=total[lo:hi])
+    # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives.
+    return (total + 0.0) / keep
+
+
 def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     """Krum-based selection followed by a trimmed coordinate-wise average.
 
@@ -364,29 +398,16 @@ def bulyan(updates, byzantine_f: int) -> AggregationDecision:
     only order equal values; those add to the same bits in any order, so
     the kernel leaves them in sort order. Each coordinate's kept values
     are added one by one in that order, closest to the median first,
-    starting from 0.0. Requires n >= 4f+3.
-    overhead_ops = n(n-1)/2 + 2|S|.
+    starting from 0.0. The average runs over blocks of max(2, n*n // |S|)
+    columns, so none of its arrays outgrows the selection's n x n ones.
+    Requires n >= 4f+3. overhead_ops = n(n-1)/2 + 2|S|.
     """
     stack, f = _checked("bulyan", updates, byzantine_f=byzantine_f)
     n = len(stack)
 
     selected = _iterated_krum(_pairwise_sq_dists(stack.mat), f)
     selected.sort()
-    keep = n - 4 * f
-    # Each column sorted by value, then stably by distance to its median:
-    # equal distances keep the smaller value first. Only equal values are
-    # left in np.sort's order, and those add to the same bits in any order.
-    # In place and in one buffer: at large d these arrays set the peak RSS.
-    cols = stack.mat.take(selected, axis=0)
-    cols.sort(axis=0)
-    dist = np.subtract(cols, _sorted_median(cols))
-    rank = np.argsort(np.abs(dist, out=dist), axis=0, kind="stable")[:keep]
-    del dist
-    kept = np.take_along_axis(cols, rank, axis=0)
-    # Every delta has at least 2 values, so axis 1 stays numpy's inner loop
-    # and each column is summed in row order, as in _scores_for. + 0.0 turns
-    # a -0.0 total into the 0.0 that a sum started at 0.0 gives.
-    delta = (np.add.reduce(kept, axis=0) + 0.0) / keep
+    delta = _trimmed_average(stack.mat, selected, n - 4 * f, max(2, n * n // len(selected)))
     return _decision(stack, selected, delta, n * (n - 1) // 2 + 2 * len(selected))
 
 

@@ -266,7 +266,10 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             )
 
         # One stack serves the monitor and the aggregator, distances included.
+        # It holds the round's deltas, so the updates go: they are held once.
         stack = stack_updates(updates.values())
+        submitted = stack.ids
+        del updates
         indicators = compute_indicators(stack, params)
         try:
             decision, pid_state = aggregate(agg.name, agg.params, stack, pid_state)
@@ -292,7 +295,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
         # Defence quality is scored only on the updates the aggregator saw: a
         # client left out above stays in excluded_ids but is no true or false positive.
         passed = set(decision.included)
-        caught = updates.keys() - passed
+        caught = set(submitted) - passed
         tp = len(caught & malicious)
         fn = len(passed & malicious)
         fp, tn = len(caught) - tp, len(passed) - fn

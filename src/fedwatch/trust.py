@@ -64,7 +64,7 @@ def compute_indicators(updates, global_params: ModelParams) -> TrustIndicators:
     reuses them.
     """
     stack = stack_updates(updates)
-    if stack.updates[0].delta.shape != global_params.shape:
+    if stack.shape != global_params.shape:
         raise ValueError("update shape does not match global model")
     dists, med, scale = stack.distances
     return TrustIndicators(

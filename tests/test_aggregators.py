@@ -12,6 +12,7 @@ from fedwatch.aggregators import (
     _kept_mean,
     _pairwise_sq_dists,
     _sorted_median,
+    _trimmed_average,
     bulyan,
     fedavg,
     geomedian,
@@ -464,9 +465,9 @@ class TestSharedEntry:
     def test_stack_updates_orders_by_client_id(self):
         ups = [upd(4, [1.0], num_samples=2), upd(0, [2.0], num_samples=3), upd(2, [3.0])]
         stack = stack_updates(ups)
-        ordered, ids, mat, weights = stack.updates, stack.ids, stack.mat, stack.weights
+        ids, mat, weights = stack.ids, stack.mat, stack.weights
         assert ids == [0, 2, 4]
-        assert [u.client for u in ordered] == ids
+        assert stack.shape == (1, 1)
         assert np.array_equal(mat, [[2.0, 0.0], [3.0, 0.0], [1.0, 0.0]])
         assert weights.tolist() == [3.0, 1.0, 2.0]
 
@@ -536,9 +537,11 @@ class TestSharedEntry:
 
     def test_krum_delta_is_the_winners_own_params(self):
         ups = random_updates(Rng(115), 7, 3)
-        d = krum(ups, 1)
+        stack = stack_updates(ups)
+        d = krum(stack, 1)
         (winner,) = d.included
-        assert d.delta is ups[winner].delta
+        assert d.delta.values.tobytes() == ups[winner].delta.values.tobytes()
+        assert not np.shares_memory(d.delta.values, stack.mat)
 
 
 @st.composite
@@ -685,6 +688,52 @@ class TestBulyanMatchesCompactingKernel:
         assert d.excluded == tuple(ids[by_id[i]] for i in unpicked)
         assert d.delta.values.tobytes() == delta.tobytes()
 
+
+
+class TestBulyanColumnBlocks:
+    """The trimmed average over column blocks keeps the compacting kernel's
+    one-pass bits, whatever the block width and wherever the tail falls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 30),
+        f_draw=st.integers(0, 6),
+        dim=st.integers(1, 12),
+        width=st.integers(2, 5),
+        kind=st.sampled_from(["grid", "gaussian", "mixed", "offset", "signed", "overflow"]),
+        distinct=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # d = 2 and d = 3: one block, the 1-column tail of d = 3 joined to it
+    @example(n=9, f_draw=1, dim=1, width=2, kind="signed", distinct=9, seed=1)
+    @example(n=9, f_draw=1, dim=2, width=2, kind="overflow", distinct=9, seed=2)
+    # d = 5 in blocks of 2 and d = 7 in blocks of 3: the last block takes the tail
+    @example(n=11, f_draw=2, dim=4, width=2, kind="signed", distinct=11, seed=3)
+    @example(n=11, f_draw=2, dim=6, width=3, kind="overflow", distinct=11, seed=4)
+    def test_any_width_gives_the_compacting_bits(self, n, f_draw, dim, width, kind, distinct, seed):
+        f = f_draw % ((n - 3) // 4 + 1)
+        rows = bulyan_rows(Rng(seed), kind, n, dim, distinct, 0)
+        with np.errstate(over="ignore"):
+            picked, _, delta = bulyan_compacting(rows, f)
+            got = _trimmed_average(rows, picked, n - 4 * f, width)
+        assert got.tobytes() == delta.tobytes()
+
+    # n * n // |S| columns a block: 9 for n = 7, f = 1 and 17 for n = 11, f = 2,
+    # so d = 19 and d = 35 split in two with a 1-column tail on the second;
+    # 47 for n = 40, f = 3, so d = 601 runs in 13 blocks
+    @pytest.mark.parametrize("n, f, dim", [(7, 1, 18), (11, 2, 34), (40, 3, 600)])
+    @pytest.mark.parametrize("kind", ["gaussian", "signed", "overflow"])
+    def test_bulyan_in_its_own_blocks_gives_the_compacting_ids_and_bits(self, n, f, dim, kind):
+        rng = Rng(n + dim)
+        rows = bulyan_rows(rng, kind, n, dim, n, 0)
+        ids = [int(i) for i in rng.permutation(100)[:n]]
+        by_id = sorted(range(n), key=lambda i: ids[i])
+        with np.errstate(over="ignore"):
+            d = bulyan([upd(i, row, shape=(1, dim)) for i, row in zip(ids, rows)], f)
+            picked, unpicked, delta = bulyan_compacting(rows[by_id], f)
+        assert d.included == tuple(ids[by_id[i]] for i in picked)
+        assert d.excluded == tuple(ids[by_id[i]] for i in unpicked)
+        assert d.delta.values.tobytes() == delta.tobytes()
 
 MEDIAN_SPECIALS = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
 

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -566,6 +567,40 @@ class TestOneStackPerRound:
             for record in records:
                 assert record.decision.info["distances"] == record.indicators.distance
 
+
+
+class TestEachRoundHoldsItsDeltasOnce:
+    """Once stacked, a round's updates are dropped: only the stack holds
+    its deltas while the monitor and the aggregator read them."""
+
+    def test_no_trained_or_poisoned_delta_lives_through_aggregation(self, monkeypatch):
+        from fedwatch import engine
+
+        returned, seen = [], []
+
+        def tracked(name):
+            original = getattr(engine, name)
+
+            def wrapped(*args):
+                update = original(*args)
+                returned.append(weakref.ref(update.delta.values))
+                return update
+
+            monkeypatch.setattr(engine, name, wrapped)
+
+        def aggregate(name, params, stack, state, original=engine.aggregate):
+            alive = sum(ref() is not None for ref in returned)
+            decision, state = original(name, params, stack, state)
+            seen.append((len(returned), alive, np.shares_memory(decision.delta.values, stack.mat)))
+            returned.clear()
+            return decision, state
+
+        tracked("local_train")
+        tracked("poison_update")
+        monkeypatch.setattr(engine, "aggregate", aggregate)
+        run(cfg(rounds=3, malicious={"kind": "sign_flip", "targets": [1, 4]},
+                aggregator={"name": "krum", "params": {"byzantine_f": 1}}))
+        assert seen == [(8 + 2, 0, False)] * 3
 
 class TestRoundsIterator:
     """``rounds`` yields one record a round; ``run`` keeps no trajectory."""
