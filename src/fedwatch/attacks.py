@@ -3,29 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ATTACK_KINDS, AttackSpec
 from .core import ClientUpdate, ModelParams, Rng
 from .datagen import Dataset
-
-ATTACK_KINDS = ("label_flip", "sign_flip", "gaussian_noise", "scale")
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """What the malicious clients do.
-
-    ``fraction`` is the share of labels flipped (label_flip only).
-    ``magnitude`` is the sign-flip scale, the noise stddev, or the scale
-    factor, depending on kind.
-    """
-
-    kind: str = "label_flip"
-    fraction: float = 1.0
-    magnitude: float = 1.0
-    targets: tuple[int, ...] = field(default_factory=tuple)
 
 
 def flip_labels(data: Dataset, fraction: float, num_classes: int, rng: Rng) -> Dataset:

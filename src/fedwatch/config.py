@@ -3,7 +3,9 @@
 A config is one JSON object; unknown keys are rejected and every violation
 names the offending field with a dotted path. Defaults are materialized on
 load so the effective config echoed into run outputs is itself a valid,
-fully explicit input.
+fully explicit input. ``SimConfig`` and every section it holds are defined
+here, so loading a config imports no simulation layer; the layers import
+their sections from this module.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .aggregators import AGGREGATORS, bound_problem, typed
-from .attacks import ATTACK_KINDS, AttackSpec
 from .core import SEED_MAX, STREAM_FIELD_LIMIT
-from .datagen import HETEROGENEITY_MODES, HeterogeneitySpec
-from .trainer import TrainConfig
-from .trust import ReputationConfig, ResourceConfig
+
+ATTACK_KINDS = ("label_flip", "sign_flip", "gaussian_noise", "scale")
+HETEROGENEITY_MODES = ("iid", "dirichlet")
 
 
 class ConfigError(ValueError):
@@ -26,6 +27,21 @@ class ConfigError(ValueError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}" if path else message)
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    """What the malicious clients do.
+
+    ``fraction`` is the share of labels flipped (label_flip only).
+    ``magnitude`` is the sign-flip scale, the noise stddev, or the scale
+    factor, depending on kind.
+    """
+
+    kind: str = "label_flip"
+    fraction: float = 1.0
+    magnitude: float = 1.0
+    targets: tuple[int, ...] = field(default_factory=tuple)
 
 
 @dataclass(frozen=True)
@@ -43,9 +59,40 @@ SYNTHETIC_ONLY = ("features", "samples_per_class", "cluster_spread")
 
 
 @dataclass(frozen=True)
+class HeterogeneitySpec:
+    """How training data is spread across clients."""
+
+    mode: str = "iid"  # one of HETEROGENEITY_MODES
+    dirichlet_alpha: float = 1.0
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.1
+    local_epochs: int = 2
+    batch_size: int = 16
+    l2_reg: float = 1e-4
+
+
+@dataclass(frozen=True)
 class AggregatorSpec:
     name: str
     params: dict = field(default_factory=dict)
+
+
+# ReputationState takes its defaults from the reputation section,
+# ledger_record its prices from the resource section.
+@dataclass(frozen=True)
+class ReputationConfig:
+    enabled: bool = True
+    decay_lambda: float = 0.9
+    participation_threshold: float = 0.0
+
+
+@dataclass(frozen=True)
+class ResourceConfig:
+    alpha: float = 0.0
+    beta: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import HETEROGENEITY_MODES, HeterogeneitySpec
 from .core import ClientId, Rng
-
-HETEROGENEITY_MODES = ("iid", "dirichlet")
 
 # Class means are pushed at least this many cluster widths apart so a
 # linear model can separate them.
@@ -58,14 +57,6 @@ class ClientShard:
     client: ClientId
     train: Dataset
     indices: np.ndarray  # ascending indices of its rows among the training rows
-
-
-@dataclass(frozen=True)
-class HeterogeneitySpec:
-    """How training data is spread across clients."""
-
-    mode: str = "iid"  # one of HETEROGENEITY_MODES
-    dirichlet_alpha: float = 1.0
 
 
 def _class_means(num_classes: int, num_features: int, cluster_spread: float, rng: Rng) -> np.ndarray:

@@ -12,22 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .aggregators import AggregationDecision, stack_updates
+from .config import ReputationConfig, ResourceConfig
 from .core import ClientId, ModelParams
-
-
-# The config's reputation and resource sections. ReputationState takes
-# its defaults from the first, ledger_record its prices from the second.
-@dataclass(frozen=True)
-class ReputationConfig:
-    enabled: bool = True
-    decay_lambda: float = 0.9
-    participation_threshold: float = 0.0
-
-
-@dataclass(frozen=True)
-class ResourceConfig:
-    alpha: float = 0.0
-    beta: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,16 @@ class TestLocalTrain:
         with pytest.raises(TrainingDivergedError):
             local_train(ModelParams.zeros((2, 3)), shard_of(ds), cfg, Rng(4, 5))
 
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_warns_nothing_outside_any_errstate(self):
+        # local_train sets its own error state, so a lone call that
+        # overflows raises its own error and no RuntimeWarning
+        assert np.geterr() == {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+        ds = generate_synthetic(2, 3, 10, 0.5, Rng(4))
+        cfg = TrainConfig(learning_rate=1e150, local_epochs=4, batch_size=4, l2_reg=1.0)
+        with pytest.raises(TrainingDivergedError):
+            local_train(ModelParams.zeros((2, 3)), shard_of(ds), cfg, Rng(4, 5))
+
     def test_finite_parameters_are_not_divergence(self):
         # One step at lr 1e300 leaves the parameters finite, near 1e300, so
         # training returns a delta although the ridge term of its loss
