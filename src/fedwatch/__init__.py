@@ -7,12 +7,12 @@ __version__ = "0.1.0"
 # Each public name, by the module that defines it. A name is imported on
 # first use, so loading a config imports no simulation layer.
 _EXPORTS = {
-    "aggregators": ("AGGREGATORS", "AggregationDecision", "PidState", "aggregate", "bulyan",
-                    "fedavg", "geomedian", "krum", "multi_krum", "sigma_pid", "trimmed_mean"),
+    "aggregators": ("AggregationDecision", "PidState", "aggregate", "bulyan", "fedavg",
+                    "geomedian", "krum", "multi_krum", "sigma_pid", "trimmed_mean"),
     "attacks": ("flip_labels", "poison_update"),
-    "config": ("AggregatorSpec", "AttackSpec", "ConfigError", "DatasetConfig", "HeterogeneitySpec",
-               "ReputationConfig", "ResourceConfig", "SimConfig", "TrainConfig", "build_config",
-               "load_config"),
+    "config": ("AGGREGATORS", "AggregatorSpec", "AttackSpec", "ConfigError", "DatasetConfig",
+               "HeterogeneitySpec", "ReputationConfig", "ResourceConfig", "SimConfig", "TrainConfig",
+               "build_config", "load_config"),
     "core": ("ClientId", "ClientUpdate", "ModelParams", "Rng"),
     "datagen": ("ClientShard", "Dataset", "generate_synthetic", "load_csv", "partition"),
     "engine": ("EngineError", "RoundMetrics", "RoundRecord", "RunResult", "rounds", "run", "sweep",

@@ -11,13 +11,13 @@ a deterministic cost ledger that is comparable across strategies.
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+# The registry and its checks live in config, which loads without numpy.
+from .config import AGGREGATORS, AggregatorEntry, Param, bound_problem, typed
 from .core import ClientId, ModelParams
 
 MAD_SCALE = 1.4826  # normal-consistency factor for the median absolute deviation
@@ -488,111 +488,6 @@ def sigma_pid(
     info = {"threshold": threshold, "distances": {stack.ids[i]: float(dists[i]) for i in range(n)}}
     decision = _decision(stack, kept, delta, 2 * n + len(kept) + 3, info)
     return decision, PidState(prev_error=error, integral=integral)
-
-
-# --- registry ------------------------------------------------------------
-
-
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-def typed(v, kind: type):
-    """v as kind, or a ValueError in config's words. A bool is no number; an
-    integer may be numpy's, and a real any real but an integer beyond float
-    range."""
-    accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
-        raise ValueError(f"expected {_EXPECTED[kind]}, got {v!r}")
-    try:
-        return kind(v)
-    except OverflowError:
-        raise ValueError("must be finite, got an integer beyond float range") from None
-
-
-def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
-                  exclusive_max=None, choices=None) -> str | None:
-    """The first bound v breaks, as a message, or None when it keeps them all.
-
-    Each test is written as ``not v >= minimum`` rather than ``v < minimum``,
-    so NaN breaks every bound. ``choices`` bounds a string to a set. A float
-    that keeps them all must still be finite.
-    """
-    if minimum is not None and not v >= minimum:
-        return f"must be >= {minimum}, got {v}"
-    if exclusive_min is not None and not v > exclusive_min:
-        return f"must be > {exclusive_min}, got {v}"
-    if maximum is not None and not v <= maximum:
-        return f"must be <= {maximum}, got {v}"
-    if exclusive_max is not None and not v < exclusive_max:
-        return f"must be < {exclusive_max}, got {v}"
-    if choices is not None and v not in choices:
-        return f"must be one of {sorted(choices)}, got {v!r}"
-    if isinstance(v, float) and not math.isfinite(v):
-        return f"must be finite, got {v}"
-    return None
-
-
-@dataclass(frozen=True)
-class Param:
-    """One aggregator parameter; its type is the type of its default."""
-
-    name: str
-    default: int | float
-    minimum: int | float | None = None
-    exclusive_min: float | None = None
-
-
-@dataclass(frozen=True)
-class AggregatorEntry:
-    """Everything the program knows about one aggregator.
-
-    Config validation, the engine, the aggregator function itself and the
-    CLI all read these fields. Each client minimum is a (param, rule) pair:
-    the aggregator needs at least rule(params) updates, and a shortfall is
-    blamed on that param, or on the client count itself when it is None.
-    """
-
-    name: str
-    fn: Callable
-    params: tuple[Param, ...] = ()
-    minimums: tuple[tuple[str | None, Callable[[dict], int]], ...] = ()
-    threads_state: bool = False  # fn takes and returns a PidState
-
-    def min_clients(self, params: dict) -> int:
-        """Smallest number of updates this aggregator can run on."""
-        return max([1] + [rule(params) for _, rule in self.minimums])
-
-    def problem(self, n: int, params: dict) -> tuple[str | None, str] | None:
-        """(blamed param, message) for the first bound or client minimum that
-        params and n break, or None when the aggregator can run."""
-        for p in self.params:
-            message = bound_problem(params[p.name], p.minimum, p.exclusive_min)
-            if message is not None:
-                return p.name, message
-        for blamed, rule in self.minimums:
-            if n < rule(params):
-                return blamed, f"{self.name} needs at least {rule(params)} clients, got {n}"
-        return None
-
-
-_F = Param("byzantine_f", 1, minimum=0)
-_KRUM_MIN = ("byzantine_f", lambda p: 2 * p["byzantine_f"] + 3)
-
-# The registry, in display order.
-AGGREGATORS: dict[str, AggregatorEntry] = {e.name: e for e in (
-    AggregatorEntry("fedavg", fedavg),
-    AggregatorEntry("trimmed_mean", trimmed_mean, (Param("trim_beta", 1, minimum=0),),
-                    (("trim_beta", lambda p: 2 * p["trim_beta"] + 1),)),
-    AggregatorEntry("krum", krum, (_F,), (_KRUM_MIN,)),
-    AggregatorEntry("multi_krum", multi_krum, (_F, Param("multi_krum_m", 1, minimum=1)),
-                    (_KRUM_MIN, ("multi_krum_m", lambda p: p["multi_krum_m"] + p["byzantine_f"]))),
-    AggregatorEntry("bulyan", bulyan, (_F,), (("byzantine_f", lambda p: 4 * p["byzantine_f"] + 3),)),
-    AggregatorEntry("geomedian", geomedian, (Param("weiszfeld_tol", 1e-10, exclusive_min=0.0),
-                                             Param("weiszfeld_max_iters", 500, minimum=1))),
-    AggregatorEntry("sigma_pid", sigma_pid, (Param("sigma_k", 2.5, exclusive_min=0.0),
-                                             Param("kp", 1.0), Param("ki", 0.0), Param("kd", 0.0)),
-                    ((None, lambda p: 3),), threads_state=True),
-)}
 
 
 def aggregate(

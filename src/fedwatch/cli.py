@@ -11,8 +11,7 @@ import argparse
 import sys
 import time
 
-from .aggregators import AGGREGATORS
-from .config import ConfigError, build_config, load_config
+from .config import AGGREGATORS, ConfigError, build_config, load_config
 from .engine import EngineError, run, sweep, write_run_outputs
 
 EXIT_OK = 0

@@ -3,18 +3,24 @@
 A config is one JSON object; unknown keys are rejected and every violation
 names the offending field with a dotted path. Defaults are materialized on
 load so the effective config echoed into run outputs is itself a valid,
-fully explicit input. ``SimConfig`` and every section it holds are defined
-here, so loading a config imports no simulation layer; the layers import
-their sections from this module.
+fully explicit input. ``SimConfig`` and every section it holds, the
+aggregator registry and the run limits are defined here. This module
+imports no other fedwatch module and no numpy, so loading a config imports
+no simulation layer; the layers import what they need from here.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .aggregators import AGGREGATORS, bound_problem, typed
-from .core import SEED_MAX, STREAM_FIELD_LIMIT
+SEED_MAX = (1 << 64) - 1  # Rng keeps a seed's low 64 bits, so a larger seed repeats a run
+
+# Rounds and client ids each fill 24 bits of a stream id (see core.substream).
+STREAM_FIELD_LIMIT = 1 << 24
 
 ATTACK_KINDS = ("label_flip", "sign_flip", "gaussian_noise", "scale")
 HETEROGENEITY_MODES = ("iid", "dirichlet")
@@ -126,12 +132,120 @@ class SimConfig:
         return d
 
 
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def typed(v, kind: type):
+    """v as kind, or a ValueError in config's words. A bool is no number; an
+    integer may be numpy's, and a real any real but an integer beyond float
+    range."""
+    accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+        raise ValueError(f"expected {_EXPECTED[kind]}, got {v!r}")
+    try:
+        return kind(v)
+    except OverflowError:
+        raise ValueError("must be finite, got an integer beyond float range") from None
+
+
+def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
+                  exclusive_max=None, choices=None) -> str | None:
+    """The first bound v breaks, as a message, or None when it keeps them all.
+
+    Each test is written as ``not v >= minimum`` rather than ``v < minimum``,
+    so NaN breaks every bound. ``choices`` bounds a string to a set. A float
+    that keeps them all must still be finite.
+    """
+    if minimum is not None and not v >= minimum:
+        return f"must be >= {minimum}, got {v}"
+    if exclusive_min is not None and not v > exclusive_min:
+        return f"must be > {exclusive_min}, got {v}"
+    if maximum is not None and not v <= maximum:
+        return f"must be <= {maximum}, got {v}"
+    if exclusive_max is not None and not v < exclusive_max:
+        return f"must be < {exclusive_max}, got {v}"
+    if choices is not None and v not in choices:
+        return f"must be one of {sorted(choices)}, got {v!r}"
+    if isinstance(v, float) and not math.isfinite(v):
+        return f"must be finite, got {v}"
+    return None
+
+
+@dataclass(frozen=True)
+class Param:
+    """One aggregator parameter; its type is the type of its default."""
+
+    name: str
+    default: int | float
+    minimum: int | float | None = None
+    exclusive_min: float | None = None
+
+
+@dataclass(frozen=True)
+class AggregatorEntry:
+    """Everything the program knows about one aggregator.
+
+    Config validation, the engine, the aggregator function itself and the
+    CLI all read these fields. Each client minimum is a (param, rule) pair:
+    the aggregator needs at least rule(params) updates, and a shortfall is
+    blamed on that param, or on the client count itself when it is None.
+    """
+
+    name: str
+    params: tuple[Param, ...] = ()
+    minimums: tuple[tuple[str | None, Callable[[dict], int]], ...] = ()
+    threads_state: bool = False  # fn takes and returns a PidState
+
+    @property
+    def fn(self) -> Callable:
+        """The function of this entry's name in ``fedwatch.aggregators``,
+        imported on use so that loading a config loads no numpy."""
+        from . import aggregators
+
+        return getattr(aggregators, self.name)
+
+    def min_clients(self, params: dict) -> int:
+        """Smallest number of updates this aggregator can run on."""
+        return max([1] + [rule(params) for _, rule in self.minimums])
+
+    def problem(self, n: int, params: dict) -> tuple[str | None, str] | None:
+        """(blamed param, message) for the first bound or client minimum that
+        params and n break, or None when the aggregator can run."""
+        for p in self.params:
+            message = bound_problem(params[p.name], p.minimum, p.exclusive_min)
+            if message is not None:
+                return p.name, message
+        for blamed, rule in self.minimums:
+            if n < rule(params):
+                return blamed, f"{self.name} needs at least {rule(params)} clients, got {n}"
+        return None
+
+
+_F = Param("byzantine_f", 1, minimum=0)
+_KRUM_MIN = ("byzantine_f", lambda p: 2 * p["byzantine_f"] + 3)
+
+# The registry, in display order.
+AGGREGATORS: dict[str, AggregatorEntry] = {e.name: e for e in (
+    AggregatorEntry("fedavg"),
+    AggregatorEntry("trimmed_mean", (Param("trim_beta", 1, minimum=0),),
+                    (("trim_beta", lambda p: 2 * p["trim_beta"] + 1),)),
+    AggregatorEntry("krum", (_F,), (_KRUM_MIN,)),
+    AggregatorEntry("multi_krum", (_F, Param("multi_krum_m", 1, minimum=1)),
+                    (_KRUM_MIN, ("multi_krum_m", lambda p: p["multi_krum_m"] + p["byzantine_f"]))),
+    AggregatorEntry("bulyan", (_F,), (("byzantine_f", lambda p: 4 * p["byzantine_f"] + 3),)),
+    AggregatorEntry("geomedian", (Param("weiszfeld_tol", 1e-10, exclusive_min=0.0),
+                                  Param("weiszfeld_max_iters", 500, minimum=1))),
+    AggregatorEntry("sigma_pid", (Param("sigma_k", 2.5, exclusive_min=0.0),
+                                  Param("kp", 1.0), Param("ki", 0.0), Param("kd", 0.0)),
+                    ((None, lambda p: 3),), threads_state=True),
+)}
+
+
 # Bounds and choices of the config fields, by dotted path. A field that is
 # not listed takes any value of its type; aggregator params are bounded by
 # their registry entry.
 RULES: dict[str, dict] = {
     "seed": {"minimum": 0, "maximum": SEED_MAX},
-    # a round and a client id each fill one 24-bit field of a stream id
     "rounds": {"minimum": 0, "maximum": STREAM_FIELD_LIMIT},
     "num_clients": {"minimum": 1, "maximum": STREAM_FIELD_LIMIT},
     "malicious.kind": {"choices": ATTACK_KINDS},
@@ -193,7 +307,11 @@ def _build_malicious(raw, num_clients: int) -> AttackSpec:
         raise ConfigError("malicious.targets", "expected a list of client ids")
     seen = set()
     for t in targets:
-        if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t < num_clients:
+        try:
+            t = typed(t, int)
+        except ValueError:
+            raise ConfigError("malicious.targets", f"invalid client id {t!r}") from None
+        if not 0 <= t < num_clients:
             raise ConfigError("malicious.targets", f"invalid client id {t!r}")
         if t in seen:
             raise ConfigError("malicious.targets", f"duplicate client id {t}")

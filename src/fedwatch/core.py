@@ -15,16 +15,14 @@ from functools import cache
 
 import numpy as np
 
+from .config import SEED_MAX, STREAM_FIELD_LIMIT
+
 # A client id is a plain non-negative int, unique within a federation
 # (ids are 0..N-1 for a federation of N clients).
 ClientId = int
 
 _MASK64 = (1 << 64) - 1
-SEED_MAX = _MASK64  # Rng keeps a seed's low 64 bits, so a larger seed repeats a run
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Rounds and client ids each fill 24 bits of a stream id (see substream).
-STREAM_FIELD_LIMIT = 1 << 24
 
 # StreamGrid hashes at most this many stream ids in one call (128 KiB of
 # words), or one round's if a round has more.

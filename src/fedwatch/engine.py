@@ -24,9 +24,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .aggregators import AGGREGATORS, AggregationDecision, PidState, aggregate, stack_updates
+from .aggregators import AggregationDecision, PidState, aggregate, stack_updates
 from .attacks import flip_labels, poison_update
-from .config import ConfigError, SimConfig, build_config, eval_split_size, set_by_path
+from .config import AGGREGATORS, ConfigError, SimConfig, build_config, eval_split_size, set_by_path
 from .core import ClientId, ClientUpdate, ModelParams, Rng, StreamGrid, substream
 from .datagen import (
     ClientShard,

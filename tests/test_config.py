@@ -2,6 +2,7 @@ import json
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from fedwatch.aggregators import AGGREGATORS
@@ -127,6 +128,29 @@ class TestBounds:
             build_config(cfg_dict(malicious={"targets": [1, 1]}))
         with pytest.raises(ConfigError):
             build_config(cfg_dict(num_clients=2, malicious={"targets": [0, 1]}))
+
+    def test_numpy_integer_targets_are_read_as_ints(self):
+        targets = [np.int64(3), np.uint8(0), np.int32(1)]
+        cfg = build_config(cfg_dict(num_clients=5, malicious={"targets": targets}))
+        assert cfg.malicious.targets == (0, 1, 3)
+        assert all(type(t) is int for t in cfg.malicious.targets)
+        json.dumps(cfg.to_dict())  # the echo stays plain JSON
+
+    @pytest.mark.parametrize("target", [True, 1.0, "1", None, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_target_is_refused(self, target):
+        with pytest.raises(ConfigError) as e:
+            build_config(cfg_dict(num_clients=5, malicious={"targets": [target]}))
+        assert (e.value.path, e.value.message) == ("malicious.targets", f"invalid client id {target!r}")
+
+    @pytest.mark.parametrize("targets, message", [
+        ([np.int64(5)], "invalid client id 5"),
+        ([-1], "invalid client id -1"),
+        ([np.int64(2), 2], "duplicate client id 2"),
+    ])
+    def test_target_range_and_duplicate_messages(self, targets, message):
+        with pytest.raises(ConfigError) as e:
+            build_config(cfg_dict(num_clients=5, malicious={"targets": targets}))
+        assert (e.value.path, e.value.message) == ("malicious.targets", message)
 
     def test_fraction_and_eval_fraction_ranges(self):
         with pytest.raises(ConfigError):

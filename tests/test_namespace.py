@@ -16,7 +16,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Each public name, with the module that defines it first and then each
 # layer module that imports it from there.
 PUBLIC = {
-    "AGGREGATORS": ("aggregators",),
+    "AGGREGATORS": ("config", "aggregators"),
     "AggregationDecision": ("aggregators",),
     "PidState": ("aggregators",),
     "aggregate": ("aggregators",),
@@ -91,12 +91,16 @@ class TestImports:
             "loaded()\n"
             "fedwatch.load_config('configs/default.json')\n"
             "loaded()\n"
+            "print(json.dumps('numpy' in sys.modules))\n"
+            "fedwatch.AGGREGATORS\n"
+            "print(json.dumps('numpy' in sys.modules))\n"
             "fedwatch.run\n"
             "loaded()\n"
         )
-        bare, config, everything = run_python(code)
+        bare, config, numpy_after_config, numpy_after_registry, everything = run_python(code)
         assert bare == ["fedwatch"]
-        assert config == ["fedwatch", "fedwatch.aggregators", "fedwatch.config", "fedwatch.core"]
+        assert config == ["fedwatch", "fedwatch.config"]
+        assert numpy_after_config is False and numpy_after_registry is False
         assert everything == ["fedwatch", *(f"fedwatch.{m}" for m in LAYERS)]
 
     def test_a_submodule_is_imported_when_named(self):
@@ -131,3 +135,17 @@ class TestPublicNames:
 
         assert attacks.ATTACK_KINDS is config.ATTACK_KINDS
         assert datagen.HETEROGENEITY_MODES is config.HETEROGENEITY_MODES
+
+    def test_layer_modules_name_the_registry_and_run_limits_from_config(self):
+        from fedwatch import aggregators, config, core
+
+        assert aggregators.AGGREGATORS is config.AGGREGATORS
+        assert core.SEED_MAX is config.SEED_MAX
+        assert core.STREAM_FIELD_LIMIT is config.STREAM_FIELD_LIMIT
+
+    @pytest.mark.parametrize("name", sorted(fedwatch.AGGREGATORS))
+    def test_each_registry_entry_finds_its_function_by_name(self, name):
+        from fedwatch import aggregators
+
+        entry = fedwatch.AGGREGATORS[name]
+        assert entry.fn is getattr(aggregators, entry.name)
