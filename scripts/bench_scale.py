@@ -12,13 +12,16 @@ should not grow with its rounds. Everything else is
 reputation on. 2n samples per class give 16 training rows per client on
 average. krum and bulyan run with f = n // 10.
 
-Each cell runs in a child of its own through the benchmark's ``run_child``,
-so its peak RSS is that run's alone. The child sums the seconds of each
-layer function ``engine.run`` calls, under the benchmark tracer's engine
-names, which the parent hands it so that it imports no benchmark module,
-and keeps no spans; ``other`` is the rest of ``engine.run``. The rows
-and the benchmark's environment record go to ``BENCH_scale.json`` at the
-repository root. ``--n`` and ``--aggregators`` keep only the matching cells.
+Each cell runs in a child of its own through the benchmark's ``run_child``.
+Its peak RSS is the child's own ``VmHWM``, which the child prints from
+``/proc/self/status`` just before its result line: ``run_child``'s
+``wait4`` figure starts at this process's high-water mark, since exec
+carries it into the child, and is used only where ``/proc`` is missing.
+The child sums the seconds of each layer function ``engine.run`` calls,
+under the benchmark tracer's engine names, which the parent hands it so
+that it imports no benchmark module, and keeps no spans; ``other`` is the
+rest of ``engine.run``. The rows and the benchmark's environment record
+go to ``BENCH_scale.json`` at the repository root. ``--n`` and ``--aggregators`` keep only the matching cells.
 
 Usage: PYTHONPATH=src python scripts/bench_scale.py [--n 20,200,1000,2000,5000]
                                                 [--aggregators fedavg,sigma_pid,krum,bulyan]
@@ -108,7 +111,18 @@ def measure(n: int, features: int, rounds: int, aggregator: str, log_dir: str) -
         tail = "\n".join(lines[-5:])
         raise RuntimeError(f"n={n} features={features} rounds={rounds} {aggregator}: "
                            f"child exited {code}:\n{tail}")
+    if len(lines) > 1 and lines[-2].startswith("VmHWM:"):
+        peak = int(lines[-2].split()[1]) / 1024.0  # kB, as ru_maxrss
     return {"seconds": json.loads(lines[-1]), "peak_rss_mb": peak}
+
+
+def own_peak_line() -> str | None:
+    """This process's ``VmHWM:`` line of /proc/self/status, or None without /proc."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next((line.strip() for line in fh if line.startswith("VmHWM:")), None)
+    except OSError:
+        return None
 
 
 def cells(sizes, names) -> list[tuple[int, int, int, str]]:
@@ -127,7 +141,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cell:
         n, features, rounds, aggregator, *phases = args.cell.split(",")
-        print(json.dumps(run_cell(int(n), int(features), int(rounds), aggregator, phases)))
+        seconds = run_cell(int(n), int(features), int(rounds), aggregator, phases)
+        peak = own_peak_line()
+        if peak is not None:
+            print(peak)
+        print(json.dumps(seconds))
         return 0
     sizes = None if args.n is None else [int(v) for v in args.n.split(",")]
     names = None if args.aggregators is None else args.aggregators.split(",")

@@ -24,6 +24,13 @@ MAD_SCALE = 1.4826  # normal-consistency factor for the median absolute deviatio
 MAD_FLOOR = 1e-9
 WEISZFELD_EPS = 1e-9
 INTEGRAL_CAP = 10.0  # integral norm is clipped to this multiple of the error norm
+# Float64 values in one block of the monitor's and the means' kernels: just
+# under 128 KiB, glibc's default mmap threshold, so each block's temporaries
+# come from the heap and are reused rather than mapped and unmapped.
+BLOCK = (1 << 14) - 1
+# Float64 values in _pairwise_sq_dists' difference chunk: enough that one
+# chunk covers a 200 x 330 stack's 199-row tail.
+PAIRWISE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +108,15 @@ def stack_updates(updates) -> UpdateStack:
     shape = ups[0].delta.shape
     if any(u.delta.shape != shape for u in ups):
         raise ValueError("mismatched delta shapes")
-    mat = np.stack([u.delta.values for u in ups])
-    weights = np.asarray([float(u.num_samples) for u in ups])
+    return stack_rows(ids, np.stack([u.delta.values for u in ups]), [u.num_samples for u in ups], shape)
+
+
+def stack_rows(ids, mat: np.ndarray, samples, shape: tuple[int, int]) -> UpdateStack:
+    """The UpdateStack whose row i is ``mat[i]``, client ids[i]'s delta with
+    ``samples[i]`` samples; ``ids`` must ascend without repeats. ``mat`` is
+    made read-only and kept, not copied.
+    """
+    weights = np.asarray(samples, dtype=float)
     mat.flags.writeable = False
     weights.flags.writeable = False
     return UpdateStack(ids, mat, weights, shape)
@@ -168,16 +182,41 @@ def _sorted_median(s: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(s[-1]), np.nan, med)
 
 
+def _column_blocks(d: int, width: int):
+    """(lo, hi) of each block of ``width`` (at least 2) of d columns, so
+    that a sum down axis 0 of a block stays numpy's loop over rows (on one
+    column numpy sums pairwise); a 1-column tail joins the block before
+    it. Only a 1-column matrix gives a 1-column block.
+    """
+    for lo in range(0, max(d - 1, 1), width):
+        yield lo, lo + width if lo + width < d - 1 else d
+
+
+def _column_median(mat: np.ndarray) -> np.ndarray:
+    """``_sorted_median(np.sort(mat, axis=0))``, one column block at a time."""
+    med = np.empty(mat.shape[1])
+    for lo, hi in _column_blocks(mat.shape[1], max(2, BLOCK // mat.shape[0])):
+        med[lo:hi] = _sorted_median(np.sort(mat[:, lo:hi], axis=0))
+    return med
+
+
 def _distances_to(mat: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(mat - ref, axis=1)`` from one n x d buffer.
+    """``np.linalg.norm(mat - ref, axis=1)`` from one buffer of whole rows.
 
     The norm squares the differences into a second buffer (``x.conj()`` is
     ``x`` for reals) and sums each row with ``add.reduce``; squaring the
-    differences in place runs the same ops, so the bytes are the same.
+    differences in place runs the same ops on each row, so the bytes are
+    the same. The buffer holds about BLOCK values, and at least one row.
     """
-    buf = np.subtract(mat, ref)
-    np.multiply(buf, buf, out=buf)
-    return np.sqrt(np.add.reduce(buf, axis=1))
+    n, d = mat.shape
+    step = max(1, BLOCK // d)
+    buf = np.empty((min(step, n), d))
+    sums = np.empty(n)
+    for lo in range(0, n, step):
+        diff = np.subtract(mat[lo : lo + step], ref, out=buf[: min(step, n - lo)])
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=sums[lo : lo + step])
+    return np.sqrt(sums, out=sums)
 
 
 def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -186,24 +225,33 @@ def robust_distances(mat: np.ndarray) -> tuple[np.ndarray, float, float]:
     Returns (distances, median distance, scale), where scale is the MAD of
     the distances times 1.4826, floored at 1e-9.
     """
-    reference = _sorted_median(np.sort(mat, axis=0))
+    reference = _column_median(mat)
     dists = _distances_to(mat, reference)
     med = float(_sorted_median(np.sort(dists)))
     mad = float(_sorted_median(np.sort(np.abs(dists - med))))
     return dists, med, max(MAD_SCALE * mad, MAD_FLOOR)
 
 
-def _weighted_mean(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return (weights[:, None] * mat).sum(axis=0) / weights.sum()
+def _weighted_mean(mat: np.ndarray, weights: np.ndarray, rows=None) -> np.ndarray:
+    """``(w[:, None] * m).sum(axis=0) / w.sum()`` for m = mat[rows] and
+    w = weights[rows] (``rows`` ascending; None takes every row).
+
+    Each column block gathers and scales its own rows, so no array holds
+    the whole matrix; every column is still summed row by row from the
+    first, as over the whole matrix.
+    """
+    if rows is not None:
+        weights = weights[rows]
+    total = np.empty(mat.shape[1])
+    for lo, hi in _column_blocks(mat.shape[1], max(2, BLOCK // len(weights))):
+        block = mat[:, lo:hi] if rows is None else mat[rows, lo:hi]
+        np.add.reduce(np.multiply(weights[:, None], block), axis=0, out=total[lo:hi])
+    return total / weights.sum()
 
 
-def _kept_mean(stack: UpdateStack, rows: np.ndarray) -> np.ndarray:
-    """``_weighted_mean`` of the stack's rows ``rows``, from one copy of them:
-    scaling the copy in place takes each w * x as x * w, the same bits, where
-    the product of the gathered rows made a second array."""
-    kept = stack.mat.take(rows, axis=0)
-    kept *= stack.weights[rows, None]
-    return kept.sum(axis=0) / stack.weights[rows].sum()
+def _kept_mean(stack: UpdateStack, rows) -> np.ndarray:
+    """The weighted mean of the stack's rows ``rows``, by their sample counts."""
+    return _weighted_mean(stack.mat, stack.weights, rows)
 
 
 def fedavg(updates) -> AggregationDecision:
@@ -228,14 +276,17 @@ def trimmed_mean(updates, trim_beta: int) -> AggregationDecision:
     """
     stack, beta = _checked("trimmed_mean", updates, trim_beta=trim_beta)
     ids, mat = stack.ids, stack.mat
-    n = len(stack)
-    order = np.argsort(mat, axis=0, kind="stable")
-    sorted_mat = np.take_along_axis(mat, order, axis=0)
-    delta = sorted_mat[beta : n - beta].mean(axis=0)
-
-    dim = mat.shape[1]
-    trimmed_rows = np.concatenate([order[:beta], order[n - beta :]]).ravel()
-    trimmed_counts = np.bincount(trimmed_rows, minlength=n)
+    n, dim = mat.shape
+    delta = np.empty(dim)
+    trimmed_counts = np.zeros(n, dtype=np.intp)
+    # Column blocks at least 2 wide: each column's mean sums row by row, as
+    # over the whole matrix.
+    for lo, hi in _column_blocks(dim, max(2, BLOCK // n)):
+        order = np.argsort(mat[:, lo:hi], axis=0, kind="stable")
+        kept = np.take_along_axis(mat[:, lo:hi], order[beta : n - beta], axis=0)
+        delta[lo:hi] = kept.mean(axis=0)
+        trimmed_counts += np.bincount(order[:beta].ravel(), minlength=n)
+        trimmed_counts += np.bincount(order[n - beta :].ravel(), minlength=n)
     keep = np.flatnonzero(trimmed_counts <= dim / 2.0)
     ops = n * max(1, math.ceil(math.log2(n))) + 1
     info = {"trim_fraction": {ids[i]: trimmed_counts[i] / dim for i in range(n)}}
@@ -247,15 +298,18 @@ def _pairwise_sq_dists(mat: np.ndarray) -> np.ndarray:
 
     Each pair costs one BLAS dot of the difference with itself, the call a
     per-pair ``np.dot`` makes, so the bits match it: ``np.vecdot`` of one
-    reused difference buffer fills row i, and column i copies it. The Gram
-    identity |a|^2 + |b|^2 - 2 a.b and ``np.einsum`` round differently.
+    reused chunk of differences, about PAIRWISE_CHUNK values and at least
+    one row, fills row i's tail, and column i copies it. The Gram identity
+    |a|^2 + |b|^2 - 2 a.b and ``np.einsum`` round differently.
     """
-    n = mat.shape[0]
+    n, d = mat.shape
     sq = np.zeros((n, n))
-    diff = np.empty_like(mat)
+    step = max(1, PAIRWISE_CHUNK // d)
+    diff = np.empty((max(1, min(step, n - 1)), d))
     for i in range(n - 1):
-        tail = np.subtract(mat[i + 1 :], mat[i], out=diff[i + 1 :])
-        np.vecdot(tail, tail, out=sq[i, i + 1 :])
+        for lo in range(i + 1, n, step):
+            tail = np.subtract(mat[lo : lo + step], mat[i], out=diff[: min(step, n - lo)])
+            np.vecdot(tail, tail, out=sq[i, lo : lo + step])
         sq[i + 1 :, i] = sq[i, i + 1 :]
     return sq
 
@@ -361,15 +415,12 @@ def _trimmed_average(mat: np.ndarray, selected, keep: int, width: int) -> np.nda
     closest to the column's median, equal distances taking the smaller
     value first, each summed one by one from 0.0, closest first.
 
-    Runs over column blocks ``width`` wide (at least 2), copying only one
-    block of the selected rows at a time; a 1-column tail joins the block
-    before it. Each column's arithmetic is its own, so the blocks give the
-    bits of one pass over all columns.
+    Runs over ``_column_blocks`` ``width`` wide, copying only one block of
+    the selected rows at a time. Each column's arithmetic is its own, so
+    the blocks give the bits of one pass over all columns.
     """
-    d = mat.shape[1]
-    total = np.empty(d)
-    for lo in range(0, d - 1, width):
-        hi = lo + width if lo + width < d - 1 else d
+    total = np.empty(mat.shape[1])
+    for lo, hi in _column_blocks(mat.shape[1], width):
         # Each column sorted by value, then stably by distance to its
         # median: equal distances keep the smaller value first. Only equal
         # values are left in np.sort's order, and those add to the same
@@ -379,9 +430,7 @@ def _trimmed_average(mat: np.ndarray, selected, keep: int, width: int) -> np.nda
         dist = np.subtract(cols, _sorted_median(cols))
         rank = np.argsort(np.abs(dist, out=dist), axis=0, kind="stable")[:keep]
         del dist
-        # A block is at least 2 columns wide, so axis 1 stays numpy's inner
-        # loop and each column is summed in row order, as in _scores_for;
-        # on one column numpy would sum pairwise.
+        # Each column is summed in row order, as in _scores_for.
         np.add.reduce(np.take_along_axis(cols, rank, axis=0), axis=0, out=total[lo:hi])
     # + 0.0 turns a -0.0 total into the 0.0 that a sum started at 0.0 gives.
     return (total + 0.0) / keep
@@ -429,7 +478,7 @@ def geomedian(
     n = len(stack)
     y = _weighted_mean(mat, weights)
     if not np.isfinite(_distances_to(mat, y)).all():
-        y = _sorted_median(np.sort(mat, axis=0))
+        y = _column_median(mat)
     converged = False
     iters = 0
     for iters in range(1, max_iters + 1):

@@ -52,6 +52,8 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class DatasetConfig:
+    """The data: synthetic Gaussian clusters or a CSV file."""
+
     type: str = "synthetic"
     classes: int = 4
     features: int = 8
@@ -74,6 +76,8 @@ class HeterogeneitySpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Each client's local SGD: step size, epochs, batch size and L2 penalty."""
+
     learning_rate: float = 0.1
     local_epochs: int = 2
     batch_size: int = 16
@@ -82,6 +86,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AggregatorSpec:
+    """The aggregator, by registry name, and its params."""
+
     name: str
     params: dict = field(default_factory=dict)
 
@@ -90,6 +96,8 @@ class AggregatorSpec:
 # ledger_record its prices from the resource section.
 @dataclass(frozen=True)
 class ReputationConfig:
+    """Reputation decay and the gate a client must clear to participate."""
+
     enabled: bool = True
     decay_lambda: float = 0.9
     participation_threshold: float = 0.0
@@ -97,6 +105,8 @@ class ReputationConfig:
 
 @dataclass(frozen=True)
 class ResourceConfig:
+    """The objective's prices: alpha per unit of cost, beta per overhead op."""
+
     alpha: float = 0.0
     beta: float = 0.0
 

@@ -43,6 +43,12 @@ def mix64(seed: int, stream_id):
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _stream_id(purpose, a, b):
+    """The stream id of (purpose, a, b), unchecked: ints, or uint64 arrays
+    that broadcast, for which every element gets the int result."""
+    return (purpose << 48) | (a << 24) | b
+
+
 def substream(purpose: int, a: int = 0, b: int = 0) -> int:
     """Pack (purpose, a, b) into a single stream id.
 
@@ -55,7 +61,7 @@ def substream(purpose: int, a: int = 0, b: int = 0) -> int:
         raise ValueError(f"substream component b out of range: {b}")
     if not 0 <= purpose < (1 << 16):
         raise ValueError(f"substream purpose out of range: {purpose}")
-    return (purpose << 48) | (a << 24) | b
+    return _stream_id(purpose, a, b)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), for an entropy
@@ -223,8 +229,8 @@ class StreamGrid:
         if not 0 <= k < len(self._words):
             self._hash_block(t)
             k = t - self._first
-        stream_id = (self.purpose << 48) | (t << 24) | c  # substream's packing
-        return Rng._from_words(self.seed, stream_id, self._words[k, self._column[c]])
+        words = self._words[k, self._column[c]]
+        return Rng._from_words(self.seed, _stream_id(self.purpose, t, c), words)
 
     def _hash_block(self, t: int) -> None:
         """Hash every stream of the block that holds round t."""
@@ -232,7 +238,7 @@ class StreamGrid:
             raise IndexError(f"round {t} is outside the grid's {self.rounds} rounds")
         first = t - t % self._block
         rounds = np.arange(first, min(first + self._block, self.rounds), dtype=np.uint64)
-        ids = (self.purpose << 48) | (rounds[:, None] << 24) | self._clients
+        ids = _stream_id(self.purpose, rounds[:, None], self._clients)
         words = _seed_sequence_words(mix64(self.seed, ids.ravel()))
         self._first = first
         self._words = words.reshape(len(rounds), len(self._clients), 4)

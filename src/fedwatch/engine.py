@@ -24,10 +24,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .aggregators import AggregationDecision, PidState, aggregate, stack_updates
+from .aggregators import AggregationDecision, PidState, UpdateStack, aggregate, stack_rows
 from .attacks import flip_labels, poison_update
 from .config import AGGREGATORS, ConfigError, SimConfig, build_config, eval_split_size, set_by_path
-from .core import ClientId, ClientUpdate, ModelParams, Rng, StreamGrid, substream
+from .core import ClientId, ModelParams, Rng, StreamGrid, substream
 from .datagen import (
     ClientShard,
     Dataset,
@@ -213,12 +213,53 @@ class rounds(Iterator[RoundRecord]):
         self._steps.close()
 
 
+def _train_round(config: SimConfig, t: int, participants, params: ModelParams,
+                 shards: list[ClientShard], train_streams: StreamGrid,
+                 poison_streams: StreamGrid) -> UpdateStack:
+    """Round t's two phases, into one (participants x d) update matrix.
+
+    Phase A: every participant trains; a diverged one leaves no row. A
+    benign delta is copied into its row as soon as it is made, and its
+    update is dropped. An attacker's update is kept for Phase B, in which
+    each attacker that trained poisons its own update and the poisoned
+    delta goes into its row; one whose poisoned update is not finite
+    leaves no row either. Returns the stack of the filled rows, which
+    ascend by client id as ``participants`` do.
+    """
+    attack = config.malicious
+    attackers = set(attack.targets) if attack.kind != "label_flip" else set()
+    mat = np.empty((len(participants), params.values.size))
+    ids, samples, held = [], [], {}  # held: row -> an attacker's update
+    for cid in participants:
+        try:
+            update = local_train(params, shards[cid], config.train, train_streams.rng(t, cid))
+        except TrainingDivergedError:
+            continue
+        if cid in attackers:
+            held[len(ids)] = update
+        else:
+            mat[len(ids)] = update.delta.values
+        ids.append(cid)
+        samples.append(update.num_samples)
+    dropped = set()
+    for row, update in held.items():
+        try:
+            mat[row] = poison_update(update, attack, poison_streams.rng(t, update.client)).delta.values
+        except ValueError:
+            dropped.add(row)
+    if dropped:  # close the gaps one row at a time, with no second matrix
+        kept = [row for row in range(len(ids)) if row not in dropped]
+        for new, old in enumerate(kept):
+            mat[new] = mat[old]
+        ids, samples = [ids[row] for row in kept], [samples[row] for row in kept]
+    return stack_rows(ids, mat[: len(ids)], samples, params.shape)
+
+
 def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
           params: ModelParams) -> Iterator[RoundRecord]:
     """The round loop of ``rounds``, from the model ``params``."""
     all_clients = tuple(range(config.num_clients))
     malicious = set(config.malicious.targets)
-    model_attack = config.malicious.kind != "label_flip" and bool(config.malicious.targets)
     reputation = ReputationState.fresh(
         all_clients,
         decay_lambda=config.reputation.decay_lambda,
@@ -233,7 +274,6 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
     poison_streams = StreamGrid(config.seed, STREAM_POISON, config.rounds, config.malicious.targets)
 
     for t in range(config.rounds):
-        updates: dict[ClientId, ClientUpdate] = {}
         if config.reputation.enabled:
             # Never below the gate's own fallback of 3, so runs that already
             # succeeded keep their participants and their bytes.
@@ -243,33 +283,14 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
         participant_set = set(participants)
         non_participants = tuple(c for c in all_clients if c not in participant_set)
 
-        # Phase A: every participant trains; a diverged one is left out.
-        for cid in participants:
-            rng = train_streams.rng(t, cid)
-            try:
-                updates[cid] = local_train(params, shards[cid], config.train, rng)
-            except TrainingDivergedError:
-                pass
-        # Phase B: each attacker that trained poisons its own update; one
-        # whose poisoned update is not finite is left out too.
-        attackers = [c for c in updates if c in malicious] if model_attack else []
-        for cid in attackers:
-            rng = poison_streams.rng(t, cid)
-            try:
-                updates[cid] = poison_update(updates[cid], config.malicious, rng)
-            except ValueError:
-                del updates[cid]
-
-        if len(updates) < needed:
+        # One stack serves the monitor and the aggregator, distances included;
+        # it holds the round's deltas, and no update outlives its row.
+        stack = _train_round(config, t, participants, params, shards, train_streams, poison_streams)
+        if len(stack) < needed:
             raise EngineError(
-                f"round {t}: {len(updates)} usable updates, {agg.name} needs {needed}"
+                f"round {t}: {len(stack)} usable updates, {agg.name} needs {needed}"
             )
-
-        # One stack serves the monitor and the aggregator, distances included.
-        # It holds the round's deltas, so the updates go: they are held once.
-        stack = stack_updates(updates.values())
         submitted = stack.ids
-        del updates
         indicators = compute_indicators(stack, params)
         try:
             decision, pid_state = aggregate(agg.name, agg.params, stack, pid_state)
@@ -415,6 +436,8 @@ def write_run_outputs(out_dir: str, config: SimConfig, result: RunResult, wall_t
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep_summary.csv row: a swept value and its run's summary."""
+
     value: object
     final_loss: float
     final_accuracy: float

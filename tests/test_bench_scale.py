@@ -98,3 +98,32 @@ def test_cell_child_times_the_phases_it_is_handed_and_imports_no_benchmark_modul
     *_, seconds, imported = done.stdout.splitlines()
     assert set(json.loads(seconds)) == {"local_train", "aggregate", "run", "other"}
     assert imported == "[]"
+
+
+def test_a_row_reads_the_childs_own_peak_and_wait4_only_without_it(tmp_path, monkeypatch):
+    script = load(SCRIPT, "bench_scale")
+    seconds = json.dumps(dict.fromkeys(["run", "other"], 0.0))
+
+    def child_printing(*lines):
+        def run_child(argv, cwd, env, log, timeout):
+            pathlib.Path(log).write_text("\n".join(lines) + "\n")
+            return 0.1, 0, 999.0  # wait4's figure, in MB
+        return run_child
+
+    monkeypatch.setattr(script, "run_child", child_printing("VmHWM:\t   40960 kB", seconds))
+    assert script.measure(5, 1, 2, "fedavg", str(tmp_path))["peak_rss_mb"] == 40.0
+    monkeypatch.setattr(script, "run_child", child_printing(seconds))
+    assert script.measure(5, 1, 2, "fedavg", str(tmp_path))["peak_rss_mb"] == 999.0
+
+
+def test_cell_child_prints_its_own_peak_before_its_result_line():
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(SCRIPT), "--cell", "5,1,2,fedavg,local_train"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    *_, peak, seconds = done.stdout.splitlines()
+    assert set(json.loads(seconds)) == {"local_train", "run", "other"}
+    if os.path.exists("/proc/self/status"):
+        label, kb, unit = peak.split()
+        assert (label, unit) == ("VmHWM:", "kB") and int(kb) > 0
