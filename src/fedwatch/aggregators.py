@@ -249,11 +249,6 @@ def _weighted_mean(mat: np.ndarray, weights: np.ndarray, rows=None) -> np.ndarra
     return total / weights.sum()
 
 
-def _kept_mean(stack: UpdateStack, rows) -> np.ndarray:
-    """The weighted mean of the stack's rows ``rows``, by their sample counts."""
-    return _weighted_mean(stack.mat, stack.weights, rows)
-
-
 def fedavg(updates) -> AggregationDecision:
     """Sample-count weighted mean of all deltas; nobody is excluded.
 
@@ -354,7 +349,7 @@ def multi_krum(updates, byzantine_f: int, multi_krum_m: int) -> AggregationDecis
     n = len(stack)
     scores = _scores_for(stack.mat, f)
     chosen = np.sort(np.argsort(scores, kind="stable")[:m])
-    delta = _kept_mean(stack, chosen)
+    delta = _weighted_mean(stack.mat, stack.weights, chosen)
     info = {"scores": {stack.ids[i]: float(scores[i]) for i in range(n)}}
     return _decision(stack, chosen, delta, n * (n - 1) // 2 + m, info)
 
@@ -521,7 +516,7 @@ def sigma_pid(
         keep_mask = np.zeros(n, dtype=bool)
         keep_mask[np.argmin(dists)] = True
     kept = np.flatnonzero(keep_mask)
-    raw = _kept_mean(stack, kept)
+    raw = _weighted_mean(stack.mat, stack.weights, kept)
 
     error = raw
     prev = state.prev_error if state is not None else None

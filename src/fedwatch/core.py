@@ -2,18 +2,18 @@
 
 All model parameters travel as flat float64 vectors with a (num_classes,
 num_features) shape descriptor, so every aggregation strategy is a plain
-vector operator. All randomness flows through ``Rng`` streams derived from
-one master seed by a fixed 64-bit hash, which makes results independent of
-scheduling order.
+vector operator. All randomness flows through ``Rng`` streams, numpy
+Generators seeded from one master seed by a fixed 64-bit hash, which makes
+results independent of scheduling order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .config import SEED_MAX, STREAM_FIELD_LIMIT
 
@@ -89,31 +89,23 @@ _POOL_HASH = _hash_constants(_INIT_A, _MULT_A, 16)
 _OUTPUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
 
 
-@cache
-def _preset_words_type() -> type:
+class PresetWords(ISeedSequence):
     """A SeedSequence stand-in that hands PCG64 precomputed words.
 
-    Defined on first use: numpy.random is imported here and not at module
-    level, because loading a config never needs it.
+    They are the four uint64 words SeedSequence.generate_state(4, np.uint64)
+    would return; PCG64 seeds from nothing else.
     """
-    from numpy.random.bit_generator import ISeedSequence
 
-    class PresetWords(ISeedSequence):
-        """The four uint64 words SeedSequence.generate_state(4, np.uint64)
-        would return; PCG64 seeds from nothing else."""
+    __slots__ = ("words",)
 
-        __slots__ = ("words",)
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 passes the type itself; np.dtype() only for anything else
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError(f"preset seed holds 4 uint64 words, not {n_words} {dtype}")
-            return self.words
-
-    return PresetWords
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 passes the type itself; np.dtype() only for anything else
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError(f"preset seed holds 4 uint64 words, not {n_words} {dtype}")
+        return self.words
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -150,52 +142,31 @@ def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
 
 
-class Rng:
-    """Deterministic random stream: (seed, stream_id) fixes every draw.
+class Rng(np.random.Generator):
+    """Deterministic random stream: a numpy Generator on PCG64 whose
+    starting state (seed, stream_id) fixes.
 
     Distinct stream ids (per client, per round, per purpose) give
     independent streams derived from the master seed via :func:`mix64`,
     so no draw ever depends on iteration order. Instances are
-    single-owner; never share one across threads.
+    single-owner; never share one across threads. A copy or an unpickled
+    Rng is a plain Generator in the same state.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id)
-        self._gen = np.random.Generator(
-            np.random.PCG64(mix64(self.seed, self.stream_id))
-        )
+        super().__init__(np.random.PCG64(mix64(self.seed, self.stream_id)))
 
     @classmethod
     def _from_words(cls, seed: int, stream_id: int, words: np.ndarray) -> "Rng":
+        """The stream ``Rng(seed, stream_id)`` gives, from the four words
+        SeedSequence would hash its mix64 value to."""
         rng = cls.__new__(cls)
         rng.seed = seed
         rng.stream_id = stream_id
-        rng._gen = np.random.Generator(np.random.PCG64(_preset_words_type()(words)))
+        np.random.Generator.__init__(rng, np.random.PCG64(PresetWords(words)))
         return rng
-
-    # Thin delegation to the underlying generator; every draw consumes
-    # from this stream only.
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high=high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def dirichlet(self, alpha) -> np.ndarray:
-        return self._gen.dirichlet(alpha)
-
-    def choice(self, n, size=None, replace=True):
-        return self._gen.choice(n, size=size, replace=replace)
 
 
 class StreamGrid:

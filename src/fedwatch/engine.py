@@ -450,10 +450,6 @@ _SWEEP_COLUMNS = _columns(SweepRow)
 _SWEEP_SUMMARY = "sweep_summary.csv"
 
 
-def sweep_summary_csv(rows: list[SweepRow]) -> str:
-    return _to_csv(_SWEEP_COLUMNS, rows)
-
-
 def _name_max(out_dir: str) -> int:
     """The longest file name, in bytes, that out_dir's file system takes: asked
     of out_dir's nearest existing ancestor, else the usual 255."""
@@ -509,6 +505,6 @@ def sweep(
         rows.append(SweepRow(value, *(s[name] for name, _ in _SWEEP_COLUMNS[1:])))
     if out_dir is not None:
         with open(os.path.join(out_dir, _SWEEP_SUMMARY), "w") as fh:
-            fh.write(sweep_summary_csv(rows))
+            fh.write(_to_csv(_SWEEP_COLUMNS, rows))
     return rows
 

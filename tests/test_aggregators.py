@@ -9,7 +9,6 @@ from fedwatch.aggregators import (
     AGGREGATORS,
     PidState,
     _distances_to,
-    _kept_mean,
     _pairwise_sq_dists,
     _sorted_median,
     _trimmed_average,
@@ -863,5 +862,5 @@ class TestKeptMeanMatchesWeightedMean:
         rows = np.sort(rng.permutation(n)[: int(rng.integers(1, n + 1))])
         with np.errstate(over="ignore", invalid="ignore"):
             want = _weighted_mean(stack.mat[rows], stack.weights[rows])
-            got = _kept_mean(stack, rows)
+            got = _weighted_mean(stack.mat, stack.weights, rows)
         assert got.tobytes() == want.tobytes()

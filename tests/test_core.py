@@ -15,9 +15,9 @@ from fedwatch.core import (
     STREAM_FIELD_LIMIT,
     ClientUpdate,
     ModelParams,
+    PresetWords,
     Rng,
     StreamGrid,
-    _preset_words_type,
     _seed_sequence_words,
     mix64,
     substream,
@@ -92,6 +92,30 @@ class TestRng:
         seen = {substream(p, a, b) for p in (1, 2) for a in (0, 1, 5) for b in (0, 3)}
         assert len(seen) == 12
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+    @example(0, 0)
+    @example(2**64 - 1, 2**64 - 1)
+    def test_is_the_generator_it_seeds(self, seed, stream_id):
+        # Each draw the layers make, on the same stream as a plain Generator.
+        rng = Rng(seed, stream_id)
+        assert isinstance(rng, np.random.Generator)
+        gen = np.random.Generator(np.random.PCG64(mix64(seed, stream_id)))
+        draws = [
+            lambda g: g.permutation(13),
+            lambda g: g.random(),
+            lambda g: g.random(7),
+            lambda g: g.integers(1, 500),
+            lambda g: g.integers(0, 2**40, size=5),
+            lambda g: g.standard_normal((3, 4)),
+            lambda g: g.normal(0.0, 2.5, size=6),
+            lambda g: g.dirichlet(np.full(5, 0.3)),
+            lambda g: g.choice(20, size=8, replace=False),
+            lambda g: g.choice(20, size=8),
+        ]
+        for draw in draws:
+            assert np.asarray(draw(rng)).tobytes() == np.asarray(draw(gen)).tobytes()
+
     def test_substream_range_checks(self):
         with pytest.raises(ValueError):
             substream(1, 1 << 24, 0)
@@ -143,7 +167,7 @@ class TestStreams:
         for t, c in pairs:
             got, want = streams.rng(t, c), Rng(seed, substream(purpose, t, c))
             assert (got.seed, got.stream_id) == (want.seed, want.stream_id)
-            assert got._gen.bit_generator.state == want._gen.bit_generator.state
+            assert got.bit_generator.state == want.bit_generator.state
             assert np.array_equal(got.permutation(17), want.permutation(17))
             assert np.array_equal(got.normal(0.0, 2.0, size=5), want.normal(0.0, 2.0, size=5))
 
@@ -195,15 +219,15 @@ class TestStreams:
                 streams.rng(t, 0)
 
     def test_preset_words_serve_only_pcg64s_request(self):
-        preset = _preset_words_type()(np.zeros(4, dtype=np.uint64))
+        preset = PresetWords(np.zeros(4, dtype=np.uint64))
         assert preset.generate_state(4, np.uint64).dtype == np.uint64
         for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
             with pytest.raises(ValueError):
                 preset.generate_state(n_words, dtype)
 
     def test_loading_a_config_does_not_import_numpy_random(self):
-        # Set-up time is measured on exactly this; numpy.random loads on the
-        # first Rng instead.
+        # Set-up time is measured on exactly this; numpy.random loads with
+        # the first simulation layer imported instead.
         code = (
             "import sys, fedwatch; fedwatch.load_config('configs/default.json'); "
             "print('numpy.random' in sys.modules)"
