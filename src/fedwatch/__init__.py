@@ -18,8 +18,8 @@ _EXPORTS = {
     "engine": ("EngineError", "RoundMetrics", "RoundRecord", "RunResult", "rounds", "run", "sweep",
                "write_run_outputs"),
     "trainer": ("TrainingDivergedError", "evaluate", "local_train", "loss_and_gradient"),
-    "trust": ("ReputationState", "TrustIndicators", "compute_indicators", "ledger_record",
-              "select_participants", "update_reputation"),
+    "trust": ("TrustIndicators", "compute_indicators", "ledger_record", "select_participants",
+              "update_reputation"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

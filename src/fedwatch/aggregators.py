@@ -149,18 +149,14 @@ def _checked(name: str, updates, **params) -> tuple:
 def _decision(stack: UpdateStack, keep, delta, overhead_ops: int,
               info: dict | None = None) -> AggregationDecision:
     """The decision that includes rows ``keep`` (ascending; None keeps all)
-    of ``stack`` and excludes the rest.
-
-    A delta given as an array takes the stack's shape; a ModelParams is
-    kept as it is.
+    of ``stack`` and excludes the rest; the array ``delta`` takes the
+    stack's shape.
     """
     kept = range(len(stack)) if keep is None else set(keep)
-    if not isinstance(delta, ModelParams):
-        delta = ModelParams(delta, stack.shape)
     return AggregationDecision(
         included=tuple(c for i, c in enumerate(stack.ids) if i in kept),
         excluded=tuple(c for i, c in enumerate(stack.ids) if i not in kept),
-        delta=delta,
+        delta=ModelParams(delta, stack.shape),
         overhead_ops=overhead_ops,
         info={} if info is None else info,
     )

@@ -22,6 +22,9 @@ SEED_MAX = (1 << 64) - 1  # Rng keeps a seed's low 64 bits, so a larger seed rep
 # Rounds and client ids each fill 24 bits of a stream id (see core.substream).
 STREAM_FIELD_LIMIT = 1 << 24
 
+# The most bytes one numpy array can hold: its size is a signed 64-bit count.
+ARRAY_BYTES_LIMIT = (1 << 63) - 1
+
 ATTACK_KINDS = ("label_flip", "sign_flip", "gaussian_noise", "scale")
 HETEROGENEITY_MODES = ("iid", "dirichlet")
 
@@ -92,8 +95,8 @@ class AggregatorSpec:
     params: dict = field(default_factory=dict)
 
 
-# ReputationState takes its defaults from the reputation section,
-# ledger_record its prices from the resource section.
+# update_reputation and select_participants read their settings from the
+# reputation section, ledger_record its prices from the resource section.
 @dataclass(frozen=True)
 class ReputationConfig:
     """Reputation decay and the gate a client must clear to participate."""
@@ -393,20 +396,34 @@ def build_config(raw: dict) -> SimConfig:
     dataset = config.dataset
     if dataset.type == "synthetic":  # a csv's size is known once the engine loads it
         samples = dataset.classes * dataset.samples_per_class
+        if samples * dataset.features * 8 > ARRAY_BYTES_LIMIT:
+            raise ConfigError("dataset", "classes x samples_per_class x features x 8 bytes "
+                              f"exceed {ARRAY_BYTES_LIMIT}, the most one array can hold")
         eval_split_size(samples, config.eval_fraction, config.num_clients)
     return config
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's pairs as a dict; a key given twice is an error."""
+    d: dict = {}
+    for k, v in pairs:
+        if k in d:
+            raise ConfigError("", f"key {k!r} given twice in one object")
+        d[k] = v
+    return d
 
 
 def load_config(path: str) -> SimConfig:
     """Read and validate a config file. OSError propagates.
 
     The bytes go to json.loads, which finds the encoding itself, so the
-    locale plays no part; a file it cannot decode is invalid JSON.
+    locale plays no part; a file it cannot decode is invalid JSON. A key
+    repeated within one object is an error, as an unknown key is.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        raw = json.loads(data)
+        raw = json.loads(data, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError("", f"invalid JSON: {e}") from None
     return build_config(raw)

@@ -38,7 +38,6 @@ from .datagen import (
 )
 from .trainer import TrainingDivergedError, evaluate, local_train
 from .trust import (
-    ReputationState,
     TrustIndicators,
     compute_indicators,
     ledger_record,
@@ -177,12 +176,13 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
 
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """What one round saw and did; ``reputation`` and ``params`` are after it."""
+    """What one round saw and did; ``reputation`` (each client's, by id) and
+    ``params`` are after it."""
 
     t: int
     indicators: TrustIndicators
     decision: AggregationDecision
-    reputation: ReputationState
+    reputation: dict[ClientId, float]
     params: ModelParams
     metrics: RoundMetrics
 
@@ -260,11 +260,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
     """The round loop of ``rounds``, from the model ``params``."""
     all_clients = tuple(range(config.num_clients))
     malicious = set(config.malicious.targets)
-    reputation = ReputationState.fresh(
-        all_clients,
-        decay_lambda=config.reputation.decay_lambda,
-        participation_threshold=config.reputation.participation_threshold,
-    )
+    reputation = dict.fromkeys(all_clients, 1.0)
     pid_state: PidState | None = None
     agg = config.aggregator
     needed = AGGREGATORS[agg.name].min_clients(agg.params)
@@ -275,9 +271,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
 
     for t in range(config.rounds):
         if config.reputation.enabled:
-            # Never below the gate's own fallback of 3, so runs that already
-            # succeeded keep their participants and their bytes.
-            participants = select_participants(reputation, all_clients, minimum=max(3, needed))
+            participants = select_participants(reputation, all_clients, config.reputation, needed)
         else:
             participants = all_clients
         participant_set = set(participants)
@@ -290,7 +284,6 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             raise EngineError(
                 f"round {t}: {len(stack)} usable updates, {agg.name} needs {needed}"
             )
-        submitted = stack.ids
         indicators = compute_indicators(stack, params)
         try:
             decision, pid_state = aggregate(agg.name, agg.params, stack, pid_state)
@@ -299,12 +292,17 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
         except ValueError:
             raise EngineError(f"round {t}: {agg.name} gave a model that is not finite") from None
         del stack  # the next round trains without this round's matrix
-        # A client left out of updates is excluded as well.
+        # Defence quality is scored only on the updates the aggregator saw: a
+        # client left out of them is excluded below but is no true or false positive.
+        tp = len(malicious.intersection(decision.excluded))
+        fn = len(malicious.intersection(decision.included))
+        fp, tn = len(decision.excluded) - tp, len(decision.included) - fn
+        excl_accuracy, excl_precision, excl_recall = confusion_rates(tp, fp, tn, fn)
         excluded = tuple(sorted(participant_set.difference(decision.included)))
         decision = replace(decision, excluded=excluded)
 
         if config.reputation.enabled:
-            reputation = update_reputation(reputation, decision)
+            reputation = update_reputation(reputation, decision, config.reputation)
 
         loss, accuracy = evaluate(params, eval_data)
         cost = float(
@@ -312,15 +310,6 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
         )
         overhead = float(decision.overhead_ops)
         objective = ledger_record(config.resource, loss, cost, overhead)
-
-        # Defence quality is scored only on the updates the aggregator saw: a
-        # client left out above stays in excluded_ids but is no true or false positive.
-        passed = set(decision.included)
-        caught = set(submitted) - passed
-        tp = len(caught & malicious)
-        fn = len(passed & malicious)
-        fp, tn = len(caught) - tp, len(passed) - fn
-        excl_accuracy, excl_precision, excl_recall = confusion_rates(tp, fp, tn, fn)
 
         metrics = RoundMetrics(
             round=t,

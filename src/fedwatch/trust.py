@@ -9,7 +9,7 @@ round's loss, the training cost spent, and the aggregator overhead
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .aggregators import AggregationDecision, stack_updates
 from .config import ReputationConfig, ResourceConfig
@@ -22,20 +22,6 @@ class TrustIndicators:
 
     distance: dict[ClientId, float]
     z_score: dict[ClientId, float]
-
-
-@dataclass(frozen=True)
-class ReputationState:
-    """Exponentially decayed inclusion history per client, in [0, 1]."""
-
-    reputation: dict[ClientId, float]
-    decay_lambda: float = ReputationConfig.decay_lambda
-    participation_threshold: float = ReputationConfig.participation_threshold
-
-    @classmethod
-    def fresh(cls, clients, **settings) -> "ReputationState":
-        """Everyone starts fully trusted; ``settings`` are the other fields."""
-        return cls(reputation={int(c): 1.0 for c in clients}, **settings)
 
 
 def compute_indicators(updates, global_params: ModelParams) -> TrustIndicators:
@@ -60,37 +46,40 @@ def compute_indicators(updates, global_params: ModelParams) -> TrustIndicators:
 
 
 def update_reputation(
-    state: ReputationState, decision: AggregationDecision
-) -> ReputationState:
-    """Decay each submitter's reputation toward its inclusion bit.
+    reputation: dict[ClientId, float], decision: AggregationDecision, settings: ReputationConfig
+) -> dict[ClientId, float]:
+    """Decay each submitter's reputation toward its inclusion bit, as a new map.
 
-    reputation <- lambda * reputation + (1 - lambda) * (1 if included else 0);
-    clients that did not submit this round are untouched.
+    reputation <- lambda * reputation + (1 - lambda) * (1 if included else 0),
+    lambda being ``settings.decay_lambda``; clients that did not submit this
+    round are untouched.
     """
-    lam = state.decay_lambda
-    rep = dict(state.reputation)
+    lam = settings.decay_lambda
+    rep = dict(reputation)
     for bit, ids in ((1.0, decision.included), (0.0, decision.excluded)):
         for cid in ids:
             if cid not in rep:
                 raise ValueError(f"unknown client id {cid}")
             rep[cid] = lam * rep[cid] + (1.0 - lam) * bit
-    return replace(state, reputation=rep)
+    return rep
 
 
 def select_participants(
-    state: ReputationState, all_clients, minimum: int = 3
+    reputation: dict[ClientId, float], all_clients, settings: ReputationConfig, minimum: int = 1
 ) -> tuple[ClientId, ...]:
-    """Clients whose reputation clears the gate, ascending by id.
+    """Clients whose reputation clears ``settings.participation_threshold``,
+    ascending by id.
 
-    If fewer than ``minimum`` qualify, the ``minimum`` highest-reputation
-    clients (ties to the lower id) are returned instead so aggregation
-    preconditions can hold.
+    If fewer than max(3, ``minimum``) qualify, that many highest-reputation
+    clients (ties to the lower id), or all when there are fewer, are returned
+    instead, so aggregation preconditions can hold.
     """
+    floor = max(3, minimum)
     ids = sorted(int(c) for c in all_clients)
-    qualified = [c for c in ids if state.reputation[c] >= state.participation_threshold]
-    if len(qualified) >= minimum or len(qualified) == len(ids):
+    qualified = [c for c in ids if reputation[c] >= settings.participation_threshold]
+    if len(qualified) >= floor:
         return tuple(qualified)
-    top = sorted(ids, key=lambda c: (-state.reputation[c], c))[: min(minimum, len(ids))]
+    top = sorted(ids, key=lambda c: (-reputation[c], c))[:floor]
     return tuple(sorted(top))
 
 

@@ -14,12 +14,12 @@ import pytest
 
 from fedwatch.aggregators import bulyan, fedavg, geomedian, krum, trimmed_mean
 from fedwatch.cli import main as cli_main
-from fedwatch.config import build_config
+from fedwatch.config import ReputationConfig, build_config
 from fedwatch.core import ClientUpdate, ModelParams, Rng
 from fedwatch.datagen import Dataset
 from fedwatch.engine import rounds, run, sweep
 from fedwatch.trainer import loss_and_gradient
-from fedwatch.trust import ReputationState, update_reputation
+from fedwatch.trust import update_reputation
 
 from oracles import (
     anchor_dominance_margin,
@@ -253,15 +253,15 @@ def test_criterion_7_ledger_identity_and_overhead_ordering():
 
 
 def test_criterion_8_reputation_dynamics():
-    state = ReputationState.fresh([0, 1], decay_lambda=0.9)
+    reputation, settings = {0: 1.0, 1: 1.0}, ReputationConfig(decay_lambda=0.9)
     ok = True
     for t in range(1, 31):
-        state = update_reputation(state, make_decision(included=[1], excluded=[0]))
-        ok &= abs(state.reputation[0] - 0.9**t) <= 1e-12
-        ok &= 0.0 <= state.reputation[0] <= 1.0
+        reputation = update_reputation(reputation, make_decision(included=[1], excluded=[0]), settings)
+        ok &= abs(reputation[0] - 0.9**t) <= 1e-12
+        ok &= 0.0 <= reputation[0] <= 1.0
 
     records = list(rounds(scenario(1, "multi_krum", {"byzantine_f": 4, "multi_krum_m": 12})))
-    reputation_trace = [r.reputation.reputation for r in records]
+    reputation_trace = [r.reputation for r in records]
     for snapshot in reputation_trace:
         ok &= all(0.0 <= r <= 1.0 for r in snapshot.values())
     always_excluded = [

@@ -236,6 +236,22 @@ def test_load_config_reports_json_errors(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_refuses_a_repeated_top_level_key(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"seed": 1, "aggregator": {"name": "fedavg"}, "seed": 7}')
+    with pytest.raises(ConfigError) as e:
+        load_config(str(path))
+    assert str(e.value) == "key 'seed' given twice in one object"
+
+
+def test_load_config_refuses_a_repeated_nested_key(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"aggregator": {"name": "fedavg", "params": {}, "name": "krum"}}')
+    with pytest.raises(ConfigError) as e:
+        load_config(str(path))
+    assert str(e.value) == "key 'name' given twice in one object"
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(MINIMAL))
@@ -382,3 +398,16 @@ def test_infinity_within_its_bounds_must_still_be_finite():
     with pytest.raises(ConfigError) as e:
         build_config(cfg_dict(train={"learning_rate": 10**400}))
     assert e.value.message == "must be finite, got an integer beyond float range"
+
+
+def test_a_synthetic_dataset_must_fit_one_array():
+    # 2 x 2**29 x features values of 8 bytes against an array's 2**63 - 1 bytes
+    dataset = {"classes": 2, "samples_per_class": 2**29, "features": 2**30 - 1}
+    assert build_config(cfg_dict(dataset=dataset)).dataset.features == 2**30 - 1
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(dataset={**dataset, "features": 2**30}))
+    assert e.value.path == "dataset"
+    assert e.value.message == (
+        f"classes x samples_per_class x features x 8 bytes exceed {2**63 - 1}, "
+        "the most one array can hold"
+    )

@@ -27,7 +27,7 @@ from fedwatch.engine import (
     run,
     sweep,
 )
-from fedwatch.trust import ReputationState, update_reputation
+from fedwatch.trust import update_reputation
 from test_no_crash import HUGE_NOISE
 
 
@@ -182,7 +182,7 @@ class TestRun:
             reputation={"enabled": True, "decay_lambda": 0.9, "participation_threshold": 0.5},
         )
         records = list(rounds(conf))
-        reputation_trace = [r.reputation.reputation for r in records]
+        reputation_trace = [r.reputation for r in records]
         for snapshot in reputation_trace:
             assert all(0.0 <= r <= 1.0 for r in snapshot.values())
         # once reputation dips below the gate the client stops participating
@@ -193,7 +193,7 @@ class TestRun:
         conf = cfg(reputation={"enabled": False, "decay_lambda": 0.9, "participation_threshold": 0.9})
         records = list(rounds(conf))
         assert all(r.metrics.non_participants == () for r in records)
-        assert all(r == 1.0 for r in records[-1].reputation.reputation.values())
+        assert all(r == 1.0 for r in records[-1].reputation.values())
 
     def test_ledger_identity_and_totals(self):
         conf = cfg(resource={"alpha": 0.5, "beta": 0.25})
@@ -420,7 +420,7 @@ class TestDivergedClientsAreNotScored:
             assert (m.tp, m.fp, m.tn, m.fn) == (0, 0, 6, 0)
             assert (m.excl_precision, m.excl_recall, m.excl_accuracy) == (1.0, 1.0, 1.0)
         # the reputation penalty for the excluded clients is unchanged
-        last = records[-1].reputation.reputation
+        last = records[-1].reputation
         assert last[2] < last[0] and last[5] < last[0]
 
     @pytest.mark.filterwarnings("error")
@@ -643,15 +643,11 @@ class TestRoundsIterator:
     def test_each_rounds_reputation_follows_from_the_previous_record(self):
         conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]},
                    aggregator={"name": "sigma_pid", "params": {}})
-        before = ReputationState.fresh(
-            range(conf.num_clients),
-            decay_lambda=conf.reputation.decay_lambda,
-            participation_threshold=conf.reputation.participation_threshold,
-        )
+        before = dict.fromkeys(range(conf.num_clients), 1.0)
         records = list(rounds(conf))
         assert any(r.decision.excluded for r in records)
         for r in records:
-            assert r.reputation == update_reputation(before, r.decision)
+            assert r.reputation == update_reputation(before, r.decision, conf.reputation)
             before = r.reputation
 
     def test_construction_evaluates_the_zero_model(self):

@@ -60,7 +60,6 @@ PUBLIC = {
     "local_train": ("trainer",),
     "loss_and_gradient": ("trainer",),
     "ReputationConfig": ("config", "trust"),
-    "ReputationState": ("trust",),
     "ResourceConfig": ("config", "trust"),
     "TrustIndicators": ("trust",),
     "compute_indicators": ("trust",),

@@ -46,10 +46,29 @@ def aggregator_params(name: str, n: int):
     return st.just({})
 
 
+# Dataset sizes whose data no array can hold, each set alone on a small
+# dataset: classes x samples_per_class x features x 8 bytes exceeds 2**63 - 1.
+# Unrefused, 2**62 samples a class wraps numpy's count and crashes the
+# process, and the others overflow inside numpy or the eval split.
+OVERSIZED = [
+    ("samples_per_class", 2**62),
+    ("samples_per_class", 2**63),
+    ("samples_per_class", 2**70),
+    ("samples_per_class", 10**400),
+    ("classes", 10**400),
+    ("classes", 2**62),
+    ("features", 2**70),
+]
+
+
 @st.composite
 def small_configs(draw):
     n = draw(st.integers(3, 12))
     name = draw(st.sampled_from(list(AGGREGATORS)))
+    dataset = {"classes": 3, "features": draw(st.sampled_from([2, 8, 64])), "samples_per_class": 20}
+    if draw(st.integers(0, 9)) == 9:  # now and then a size no array can hold
+        key, value = draw(st.sampled_from(OVERSIZED))
+        dataset[key] = value
     return {
         "seed": draw(st.integers(0, 2**32)),
         "rounds": 2,
@@ -59,11 +78,7 @@ def small_configs(draw):
             "magnitude": 10.0 ** draw(st.floats(0.0, 308.0)),
             "targets": draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1)),
         },
-        "dataset": {
-            "classes": 3,
-            "features": draw(st.sampled_from([2, 8, 64])),
-            "samples_per_class": 20,
-        },
+        "dataset": dataset,
         "aggregator": {"name": name, "params": draw(aggregator_params(name, n))},
         "reputation": {"participation_threshold": draw(st.sampled_from([0.0, 0.5]))},
     }
@@ -116,4 +131,36 @@ def test_rounds_past_the_stream_id_field_exit_2(tmp_path):
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert err.getvalue() == f"error: rounds: must be <= {STREAM_FIELD_LIMIT}, got {STREAM_FIELD_LIMIT + 1}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def cli_run(tmp_path, raw) -> tuple[int, str]:
+    """The exit code and stderr of ``fedwatch run`` on the config raw."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("key, value", OVERSIZED, ids=lambda v: "10**400" if v == 10**400 else None)
+def test_a_dataset_no_array_can_hold_exits_2(tmp_path, key, value):
+    # Refused while the config is built, before any array is asked for.
+    code, err = cli_run(tmp_path, {**HUGE_NOISE, "dataset": {**HUGE_NOISE["dataset"], key: value}})
+    assert code == 2
+    assert err.startswith("error: dataset: ") and err.count("\n") == 1
+    assert "the most one array can hold" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_dataset_an_array_could_hold_still_runs_out_of_memory(tmp_path):
+    # 3 x 10**17 x 2 x 8 bytes is within an array's limit, so the config is
+    # valid; the request for 2.4e18 bytes of labels fails at once on any
+    # machine, with no memory allocated, and the run exits 3.
+    code, err = cli_run(
+        tmp_path, {**HUGE_NOISE, "dataset": {**HUGE_NOISE["dataset"], "samples_per_class": 10**17}}
+    )
+    assert code == 3
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()

@@ -7,7 +7,6 @@ from fedwatch.aggregators import AggregationDecision
 from fedwatch.core import ClientUpdate, ModelParams, Rng
 from fedwatch.trust import (
     ReputationConfig,
-    ReputationState,
     ResourceConfig,
     compute_indicators,
     ledger_record,
@@ -63,77 +62,107 @@ class TestComputeIndicators:
             compute_indicators([upd(0, [1.0, 0.0])], ModelParams.zeros((2, 2)))
 
 
+def fresh(clients):
+    return dict.fromkeys(clients, 1.0)
+
+
+def decaying(lam):
+    return ReputationConfig(decay_lambda=lam)
+
+
+def gate(threshold):
+    return ReputationConfig(participation_threshold=threshold)
+
+
 class TestUpdateReputation:
     def test_three_exclusions_decay(self):
-        state = ReputationState.fresh([0, 1], decay_lambda=0.9)
+        rep = fresh([0, 1])
         for _ in range(3):
-            state = update_reputation(state, decision(included=[1], excluded=[0]))
-        assert state.reputation[0] == pytest.approx(0.9**3, abs=1e-15)
+            rep = update_reputation(rep, decision(included=[1], excluded=[0]), decaying(0.9))
+        assert rep[0] == pytest.approx(0.9**3, abs=1e-15)
 
     def test_always_included_stays_at_one(self):
-        state = ReputationState.fresh([0], decay_lambda=0.9)
+        rep = fresh([0])
         for _ in range(10):
-            state = update_reputation(state, decision(included=[0], excluded=[]))
-        assert state.reputation[0] == pytest.approx(1.0, abs=1e-12)
+            rep = update_reputation(rep, decision(included=[0], excluded=[]), decaying(0.9))
+        assert rep[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_zero_is_memoryless(self):
-        state = ReputationState.fresh([0, 1], decay_lambda=0.0)
-        state = update_reputation(state, decision(included=[0], excluded=[1]))
-        assert state.reputation == {0: 1.0, 1: 0.0}
-        state = update_reputation(state, decision(included=[1], excluded=[0]))
-        assert state.reputation == {0: 0.0, 1: 1.0}
+        rep = update_reputation(fresh([0, 1]), decision(included=[0], excluded=[1]), decaying(0.0))
+        assert rep == {0: 1.0, 1: 0.0}
+        rep = update_reputation(rep, decision(included=[1], excluded=[0]), decaying(0.0))
+        assert rep == {0: 0.0, 1: 1.0}
 
     def test_non_submitters_untouched(self):
-        state = ReputationState.fresh([0, 1, 2], decay_lambda=0.5)
-        state = update_reputation(state, decision(included=[0], excluded=[1]))
-        assert state.reputation[2] == 1.0
+        rep = update_reputation(fresh([0, 1, 2]), decision(included=[0], excluded=[1]), decaying(0.5))
+        assert rep[2] == 1.0
 
     def test_unknown_id_rejected(self):
-        state = ReputationState.fresh([0])
         with pytest.raises(ValueError):
-            update_reputation(state, decision(included=[7], excluded=[]))
+            update_reputation(fresh([0]), decision(included=[7], excluded=[]), ReputationConfig())
 
     @settings(max_examples=100, derandomize=True)
     @given(st.lists(st.booleans(), min_size=1, max_size=60), st.floats(0.0, 0.999))
     def test_reputation_stays_in_unit_interval(self, bits, lam):
-        state = ReputationState.fresh([0], decay_lambda=lam)
+        rep = fresh([0])
         for included in bits:
             d = decision(included=[0] if included else [], excluded=[] if included else [0])
-            state = update_reputation(state, d)
-            assert 0.0 <= state.reputation[0] <= 1.0
+            rep = update_reputation(rep, d, decaying(lam))
+            assert 0.0 <= rep[0] <= 1.0
 
     def test_geometric_decay_when_always_excluded(self):
-        state = ReputationState.fresh([0], decay_lambda=0.8)
+        rep = fresh([0])
         values = []
         for _ in range(30):
-            state = update_reputation(state, decision(included=[], excluded=[0]))
-            values.append(state.reputation[0])
+            rep = update_reputation(rep, decision(included=[], excluded=[0]), decaying(0.8))
+            values.append(rep[0])
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.8**30, abs=1e-15)
 
 
 class TestSelectParticipants:
     def test_zero_threshold_admits_everyone(self):
-        state = ReputationState.fresh(range(5), participation_threshold=0.0)
-        assert select_participants(state, range(5)) == (0, 1, 2, 3, 4)
+        assert select_participants(fresh(range(5)), range(5), gate(0.0)) == (0, 1, 2, 3, 4)
 
     def test_threshold_gates_decayed_clients(self):
         rep = {c: 1.0 for c in range(16)}
         rep.update({c: 0.729 for c in range(16, 20)})
-        state = ReputationState(reputation=rep, participation_threshold=0.8)
-        assert select_participants(state, range(20)) == tuple(range(16))
+        assert select_participants(rep, range(20), gate(0.8)) == tuple(range(16))
 
     def test_top3_fallback_when_all_gated(self):
         rep = {0: 0.1, 1: 0.5, 2: 0.3, 3: 0.5, 4: 0.2}
-        state = ReputationState(reputation=rep, participation_threshold=0.9)
         # ties at 0.5 resolve to the lower id; third best is 0.3
-        assert select_participants(state, range(5)) == (1, 2, 3)
+        assert select_participants(rep, range(5), gate(0.9)) == (1, 2, 3)
 
     def test_fallback_admits_the_requested_minimum(self):
         rep = {0: 0.1, 1: 0.5, 2: 0.3, 3: 0.5, 4: 0.2, 5: 0.95}
-        state = ReputationState(reputation=rep, participation_threshold=0.9)
-        assert select_participants(state, range(6), minimum=5) == (1, 2, 3, 4, 5)
-        assert select_participants(state, range(6), minimum=9) == tuple(range(6))
+        assert select_participants(rep, range(6), gate(0.9), minimum=5) == (1, 2, 3, 4, 5)
+        assert select_participants(rep, range(6), gate(0.9), minimum=9) == tuple(range(6))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n),
+                st.sampled_from([0.0, 0.5, 1.0]),
+                st.integers(0, n + 2),
+            )
+        )
+    )
+    def test_gate_or_floor_of_three(self, case):
+        values, threshold, minimum = case
+        n = len(values)
+        rep = dict(enumerate(values))
+        qualified = [c for c in range(n) if values[c] >= threshold]
+        floor = max(3, minimum)
+        if len(qualified) >= floor or len(qualified) == n:
+            expected = tuple(qualified)
+        else:
+            best = sorted(range(n), key=lambda c: (-values[c], c))
+            expected = tuple(sorted(best[: min(floor, n)]))
+        got = select_participants(rep, reversed(range(n)), gate(threshold), minimum)
+        assert got == expected
+        assert list(got) == sorted(got)
 
 
 class TestLedger:
@@ -162,11 +191,12 @@ class TestLedger:
 
 
 class TestDefaultsComeFromTheConfigSections:
-    def test_reputation_state_defaults(self):
+    def test_reputation_defaults(self):
         cfg = ReputationConfig()
-        for state in (ReputationState.fresh(range(4)), ReputationState(reputation={0: 1.0})):
-            assert state.decay_lambda == cfg.decay_lambda
-            assert state.participation_threshold == cfg.participation_threshold
+        rep = update_reputation(fresh([0, 1]), decision(included=[1], excluded=[0]), cfg)
+        assert rep == {0: 0.9 * 1.0, 1: 1.0}
+        low = {0: 0.0, 1: 0.01, 2: 0.5, 3: 1.0}
+        assert select_participants(low, range(4), cfg) == (0, 1, 2, 3)
 
     def test_ledger_defaults(self):
         cfg = ResourceConfig()
