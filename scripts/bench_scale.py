@@ -1,16 +1,18 @@
 """Measure how a run grows with the number of clients n, the model size d
 and the number of rounds.
 
-Runs ``engine.run`` in each cell of ``CELLS``: the n-curve, n in
-{200, 1000, 2000, 5000} at d = 330 (10 classes x 32 features + 10 biases),
-with bulyan only up to n = 2000, where its selection alone takes seconds a
-call; then the d-curve, features in {256, 1024, 4096} at n = 200, so d goes
-up to 40,970; each for 2 rounds. Then fedavg at n = 20 and d = 40,970 for 2
-and for 200 rounds: a run keeps no model but the last, so its peak RSS
-should not grow with its rounds. Everything else is
-``configs/default.json``: 4 label-flippers, Dirichlet alpha 0.4,
-reputation on. 2n samples per class give 16 training rows per client on
-average. krum and bulyan run with f = n // 10.
+Runs ``engine.run`` in each cell of ``CELLS``, for every aggregator of the
+registry: the n-curve, n in {200, 1000, 2000, 5000} at d = 330 (10 classes
+x 32 features + 10 biases), with bulyan only up to n = 2000, where its
+selection alone takes seconds a call; then the d-curve, features in
+{256, 1024, 4096} at n = 200, so d goes up to 40,970; each for 2 rounds.
+Then fedavg at n = 20 and d = 40,970 for 2 and for 200 rounds: a run keeps
+no model but the last, so its peak RSS should not grow with its rounds.
+Everything else is ``configs/default.json``: 4 label-flippers, Dirichlet
+alpha 0.4, reputation on. 2n samples per class give 16 training rows per
+client on average. The Krum family runs with f = n // 10, multi_krum with
+m = n // 2, trimmed_mean trims n // 10; every other parameter keeps its
+registry default.
 
 Each cell runs in a child of its own through the benchmark's ``run_child``.
 Its peak RSS is the child's own ``VmHWM``, which the child prints from
@@ -20,11 +22,16 @@ carries it into the child, and is used only where ``/proc`` is missing.
 The child sums the seconds of each layer function ``engine.run`` calls,
 under the benchmark tracer's engine names, which the parent hands it so
 that it imports no benchmark module, and keeps no spans; ``other`` is the
-rest of ``engine.run``. The rows and the benchmark's environment record
-go to ``BENCH_scale.json`` at the repository root. ``--n`` and ``--aggregators`` keep only the matching cells.
+rest of ``engine.run``. The child also prints the run's ``overhead_ops``,
+summed over its decisions, so that each row sets the aggregators' measured
+seconds on the updates of real rounds beside the cost model:
+``ns_per_overhead_op`` is aggregate seconds x 10^9 / ``overhead_ops``. The
+rows and the benchmark's environment record go to ``BENCH_scale.json`` at
+the repository root. ``--n`` and ``--aggregators`` keep only the matching
+cells.
 
 Usage: PYTHONPATH=src python scripts/bench_scale.py [--n 20,200,1000,2000,5000]
-                                                [--aggregators fedavg,sigma_pid,krum,bulyan]
+                                                [--aggregators krum,bulyan]
                                                 [--out BENCH_scale.json]
 """
 
@@ -38,6 +45,7 @@ import time
 
 import fedwatch
 from fedwatch import engine
+from fedwatch.config import AGGREGATORS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # A cell child (this file run with --cell first) is handed its phase names
@@ -52,19 +60,23 @@ if __name__ != "__main__" or sys.argv[1:2] != ["--cell"]:
 
 CLASSES = 10
 CHILD_TIMEOUT_S = 600.0
-ALL = ("fedavg", "sigma_pid", "krum", "bulyan")
+ALL = tuple(AGGREGATORS)
 # (n, features, rounds, aggregators), in the order they run
 CELLS = [
     (200, 32, 2, ALL), (1000, 32, 2, ALL), (2000, 32, 2, ALL),
-    (5000, 32, 2, ("fedavg", "sigma_pid", "krum")),
+    (5000, 32, 2, tuple(name for name in ALL if name != "bulyan")),
     (200, 256, 2, ALL), (200, 1024, 2, ALL), (200, 4096, 2, ALL),
     (20, 4096, 2, ("fedavg",)), (20, 4096, 200, ("fedavg",)),
 ]
+# params sized to n; the rest keep their registry defaults
+SIZED_PARAMS = {"byzantine_f": lambda n: n // 10, "multi_krum_m": lambda n: n // 2,
+                "trim_beta": lambda n: n // 10}
 
 
 def scale_config(n: int, features: int, rounds: int, aggregator: str) -> dict:
     raw = json.loads((ROOT / "configs" / "default.json").read_text())
-    params = {"byzantine_f": n // 10} if aggregator in ("krum", "bulyan") else {}
+    params = {p.name: SIZED_PARAMS[p.name](n) for p in AGGREGATORS[aggregator].params
+              if p.name in SIZED_PARAMS}
     raw.update(
         rounds=rounds,
         num_clients=n,
@@ -74,9 +86,10 @@ def scale_config(n: int, features: int, rounds: int, aggregator: str) -> dict:
     return raw
 
 
-def run_cell(n: int, features: int, rounds: int, aggregator: str, phases: list[str]) -> dict:
+def run_cell(n: int, features: int, rounds: int, aggregator: str, phases: list[str]) -> tuple[dict, int]:
     """Run one config in this process; seconds by engine name, for each of
-    ``phases`` and ``run``, and ``other``, the rest of ``run``."""
+    ``phases`` and ``run``, and ``other``, the rest of ``run``; and the
+    run's summed ``overhead_ops``."""
     seconds = dict.fromkeys(phases + ["run"], 0.0)
 
     def timed(name, fn):
@@ -91,13 +104,14 @@ def run_cell(n: int, features: int, rounds: int, aggregator: str, phases: list[s
     config = engine.build_config(scale_config(n, features, rounds, aggregator))
     for name in phases:
         setattr(engine, name, timed(name, getattr(engine, name)))
-    timed("run", engine.run)(config)
+    result = timed("run", engine.run)(config)
     seconds["other"] = seconds["run"] - sum(seconds[name] for name in phases)
-    return seconds
+    return seconds, sum(d.overhead_ops for d in result.decisions)
 
 
 def measure(n: int, features: int, rounds: int, aggregator: str, log_dir: str) -> dict:
-    """Run one cell in a child: its phase seconds and its peak RSS in MB."""
+    """Run one cell in a child: its phase seconds, its peak RSS in MB, and
+    its ``overhead_ops`` with aggregate ns per op, where the child printed them."""
     # the child imports the fedwatch this process did
     src = str(pathlib.Path(fedwatch.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -113,7 +127,12 @@ def measure(n: int, features: int, rounds: int, aggregator: str, log_dir: str) -
                            f"child exited {code}:\n{tail}")
     if len(lines) > 1 and lines[-2].startswith("VmHWM:"):
         peak = int(lines[-2].split()[1]) / 1024.0  # kB, as ru_maxrss
-    return {"seconds": json.loads(lines[-1]), "peak_rss_mb": peak}
+    row = {"seconds": json.loads(lines[-1]), "peak_rss_mb": peak}
+    for line in lines:
+        if line.startswith("overhead_ops:"):
+            ops = int(line.split()[1])
+            row.update(overhead_ops=ops, ns_per_overhead_op=row["seconds"]["aggregate"] * 1e9 / ops)
+    return row
 
 
 def own_peak_line() -> str | None:
@@ -141,7 +160,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cell:
         n, features, rounds, aggregator, *phases = args.cell.split(",")
-        seconds = run_cell(int(n), int(features), int(rounds), aggregator, phases)
+        seconds, ops = run_cell(int(n), int(features), int(rounds), aggregator, phases)
+        print(f"overhead_ops: {ops}")
         peak = own_peak_line()
         if peak is not None:
             print(peak)
@@ -151,20 +171,22 @@ def main(argv=None) -> int:
     names = None if args.aggregators is None else args.aggregators.split(",")
 
     rows = []
-    print(f"{'aggregator':<10} {'n':>5} {'d':>6} {'rounds':>6} {'run_s':>8} {'generate':>9} {'partition':>9} "
-          f"{'train':>8} {'aggregate':>9} {'other':>8} {'rss_mb':>8}")
+    print(f"{'aggregator':<12} {'n':>5} {'d':>6} {'rounds':>6} {'run_s':>8} {'generate':>9} {'partition':>9} "
+          f"{'train':>8} {'aggregate':>9} {'other':>8} {'rss_mb':>8} {'ns/op':>8}")
     with tempfile.TemporaryDirectory() as log_dir:
         for n, features, rounds, aggregator in cells(sizes, names):
             row = {"n": n, "d": CLASSES * (features + 1), "rounds": rounds, "aggregator": aggregator}
             row.update(measure(n, features, rounds, aggregator, log_dir))
             rows.append(row)
             s = row["seconds"]
-            print(f"{aggregator:<10} {n:>5} {row['d']:>6} {rounds:>6} {s['run']:>8.3f} "
+            print(f"{aggregator:<12} {n:>5} {row['d']:>6} {rounds:>6} {s['run']:>8.3f} "
                   f"{s['generate_synthetic']:>9.3f} "
                   f"{s['partition']:>9.3f} {s['local_train']:>8.3f} {s['aggregate']:>9.3f} "
-                  f"{s['other']:>8.3f} {row['peak_rss_mb']:>8.1f}", flush=True)
+                  f"{s['other']:>8.3f} {row['peak_rss_mb']:>8.1f} "
+                  f"{row.get('ns_per_overhead_op', float('nan')):>8.1f}", flush=True)
     report = {
-        "config": "configs/default.json with 10 classes x (d/10 - 1) features, 2n samples per class",
+        "config": "configs/default.json with 10 classes x (d/10 - 1) features, 2n samples per class; "
+                  "byzantine_f = n // 10, multi_krum_m = n // 2, trim_beta = n // 10",
         "environment": environment(str(ROOT)),
         "rows": rows,
     }

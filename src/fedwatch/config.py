@@ -417,14 +417,17 @@ def load_config(path: str) -> SimConfig:
     """Read and validate a config file. OSError propagates.
 
     The bytes go to json.loads, which finds the encoding itself, so the
-    locale plays no part; a file it cannot decode is invalid JSON. A key
-    repeated within one object is an error, as an unknown key is.
+    locale plays no part; a file it cannot decode, or an integer over
+    Python's ``int_max_str_digits``, is invalid JSON. A key repeated within
+    one object is an error, as an unknown key is.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         raw = json.loads(data, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ConfigError:
+        raise
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, too many digits
         raise ConfigError("", f"invalid JSON: {e}") from None
     return build_config(raw)
 

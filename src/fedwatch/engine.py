@@ -18,8 +18,9 @@ import json
 import math
 import os
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, fields, replace
+from types import MappingProxyType
 from typing import get_type_hints
 
 import numpy as np
@@ -177,12 +178,12 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
     """What one round saw and did; ``reputation`` (each client's, by id) and
-    ``params`` are after it."""
+    ``params`` are after it. Both are read-only: the next round reads them."""
 
     t: int
     indicators: TrustIndicators
     decision: AggregationDecision
-    reputation: dict[ClientId, float]
+    reputation: Mapping[ClientId, float]
     params: ModelParams
     metrics: RoundMetrics
 
@@ -202,6 +203,7 @@ class rounds(Iterator[RoundRecord]):
     def __init__(self, config: SimConfig):
         eval_data, shards = _build_data(config)
         self.initial_params = ModelParams.zeros((config.dataset.classes, eval_data.num_features))
+        self.initial_params.values.flags.writeable = False
         self.initial_loss, self.initial_accuracy = evaluate(self.initial_params, eval_data)
         self._steps = _play(config, eval_data, shards, self.initial_params)
 
@@ -291,6 +293,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             params = params + decision.delta
         except ValueError:
             raise EngineError(f"round {t}: {agg.name} gave a model that is not finite") from None
+        params.values.flags.writeable = False
         del stack  # the next round trains without this round's matrix
         # Defence quality is scored only on the updates the aggregator saw: a
         # client left out of them is excluded below but is no true or false positive.
@@ -328,7 +331,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             overhead=overhead,
             objective=objective,
         )
-        yield RoundRecord(t, indicators, decision, reputation, params, metrics)
+        yield RoundRecord(t, indicators, decision, MappingProxyType(reputation), params, metrics)
 
 
 def run(config: SimConfig) -> RunResult:

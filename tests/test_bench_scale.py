@@ -63,12 +63,35 @@ def test_scale_config_is_valid_in_every_cell():
 
     script = load(SCRIPT, "bench_scale")
     cells = script.cells(None, None)
-    assert len(cells) == 29
+    assert len(cells) == 50
     assert [c for c in cells if c[0] == 20] == [(20, 4096, 2, "fedavg"), (20, 4096, 200, "fedavg")]
     for n, features, rounds, name in cells:
         conf = build_config(script.scale_config(n, features, rounds, name))
         assert conf.num_clients == n and conf.rounds == rounds
         assert conf.dataset.classes * (conf.dataset.features + 1) == script.CLASSES * (features + 1)
+
+
+def test_every_registry_rule_is_measured_at_each_size_of_both_curves():
+    from fedwatch.config import AGGREGATORS
+
+    script = load(SCRIPT, "bench_scale")
+    cells = script.cells(None, None)
+    for n, features in [(200, 32), (1000, 32), (2000, 32), (200, 256), (200, 1024), (200, 4096)]:
+        assert [c[3] for c in cells if c[:3] == (n, features, 2)] == list(AGGREGATORS)
+    assert [c[3] for c in cells if c[0] == 5000] == [name for name in AGGREGATORS if name != "bulyan"]
+    assert [script.scale_config(200, 32, 2, name)["aggregator"]["params"] for name in ("multi_krum", "trimmed_mean")] \
+        == [{"byzantine_f": 20, "multi_krum_m": 100}, {"trim_beta": 20}]
+
+
+def test_a_row_carries_its_runs_overhead_ops_and_aggregate_ns_per_op(tmp_path):
+    from fedwatch import engine
+    from fedwatch.config import build_config
+
+    script = load(SCRIPT, "bench_scale")
+    row = script.measure(5, 1, 2, "multi_krum", str(tmp_path))
+    decisions = engine.run(build_config(script.scale_config(5, 1, 2, "multi_krum"))).decisions
+    assert row["overhead_ops"] == sum(d.overhead_ops for d in decisions) > 0
+    assert row["ns_per_overhead_op"] == row["seconds"]["aggregate"] * 1e9 / row["overhead_ops"]
 
 
 def test_committed_record_has_one_row_per_cell_of_the_table():

@@ -252,6 +252,22 @@ def test_load_config_refuses_a_repeated_nested_key(tmp_path):
     assert str(e.value) == "key 'name' given twice in one object"
 
 
+def test_load_config_reports_an_integer_too_long_to_read(tmp_path):
+    # json.loads refuses an integer over Python's int_max_str_digits (4,300)
+    # with a plain ValueError, which is no JSONDecodeError
+    import pathlib
+
+    default = pathlib.Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    text = default.read_text().replace('"seed": 1,', '"seed": 1' + "0" * 5000 + ",")
+    assert "0" * 5000 in text
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as e:
+        load_config(str(path))
+    assert e.value.path == ""
+    assert e.value.message.startswith("invalid JSON: Exceeds the limit (4300 digits)")
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(json.dumps(MINIMAL))

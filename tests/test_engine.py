@@ -650,6 +650,24 @@ class TestRoundsIterator:
             assert r.reputation == update_reputation(before, r.decision, conf.reputation)
             before = r.reputation
 
+    def test_a_records_params_and_reputation_are_read_only(self):
+        # the next round broadcasts the one and gates on the other
+        conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]},
+                   aggregator={"name": "sigma_pid", "params": {}},
+                   reputation={"participation_threshold": 0.95})
+        steps = rounds(conf)
+        with pytest.raises(ValueError, match="read-only"):
+            steps.initial_params.values[:] = 0.0
+        metrics = []
+        for record in steps:
+            with pytest.raises(ValueError, match="read-only"):
+                record.params.values[:] = 0.0
+            with pytest.raises(TypeError):
+                record.reputation[0] = 0.0
+            metrics.append(record.metrics)
+        assert any(m.non_participants for m in metrics)
+        assert metrics_to_csv(metrics) == metrics_to_csv(run(conf).metrics)
+
     def test_construction_evaluates_the_zero_model(self):
         steps = rounds(cfg(rounds=0))
         assert np.all(steps.initial_params.values == 0.0)

@@ -134,6 +134,22 @@ def test_rounds_past_the_stream_id_field_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_integer_too_long_to_read_exits_2(tmp_path):
+    # a seed of 5,001 digits, over Python's int_max_str_digits of 4,300
+    default = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+    with open(default) as fh:
+        text = fh.read().replace('"seed": 1,', '"seed": 1' + "0" * 5000 + ",")
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+    assert err.getvalue().count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def cli_run(tmp_path, raw) -> tuple[int, str]:
     """The exit code and stderr of ``fedwatch run`` on the config raw."""
     path = tmp_path / "config.json"
