@@ -55,7 +55,9 @@ class AggregationDecision:
 
 @dataclass(frozen=True)
 class PidState:
-    """Controller memory threaded through rounds (single-owner)."""
+    """Controller memory threaded through rounds. ``sigma_pid`` returns a
+    new state of read-only arrays and only reads the one it is given, so a
+    state may be kept, as a round's record keeps it, and passed on as is."""
 
     prev_error: np.ndarray | None = None
     integral: np.ndarray | None = None
@@ -527,6 +529,7 @@ def sigma_pid(
 
     info = {"threshold": threshold, "distances": {stack.ids[i]: float(dists[i]) for i in range(n)}}
     decision = _decision(stack, kept, delta, 2 * n + len(kept) + 3, info)
+    error.flags.writeable = integral.flags.writeable = False
     return decision, PidState(prev_error=error, integral=integral)
 
 

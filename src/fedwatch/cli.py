@@ -75,8 +75,16 @@ def cmd_list_aggregators(_args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 2, as a config error is;
+    each subcommand's parser is of this class too."""
+
+    def error(self, message: str):
+        sys.exit(_fail(EXIT_CONFIG, message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedwatch",
         description="Deterministic federated-learning simulator with monitored, robust aggregation.",
     )

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Callable
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from collections.abc import Callable, Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 SEED_MAX = (1 << 64) - 1  # Rng keeps a seed's low 64 bits, so a larger seed repeats a run
 
@@ -38,8 +39,7 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(NamedTuple):
     """What the malicious clients do.
 
     ``fraction`` is the share of labels flipped (label_flip only).
@@ -50,11 +50,10 @@ class AttackSpec:
     kind: str = "label_flip"
     fraction: float = 1.0
     magnitude: float = 1.0
-    targets: tuple[int, ...] = field(default_factory=tuple)
+    targets: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(NamedTuple):
     """The data: synthetic Gaussian clusters or a CSV file."""
 
     type: str = "synthetic"
@@ -69,16 +68,14 @@ class DatasetConfig:
 SYNTHETIC_ONLY = ("features", "samples_per_class", "cluster_spread")
 
 
-@dataclass(frozen=True)
-class HeterogeneitySpec:
+class HeterogeneitySpec(NamedTuple):
     """How training data is spread across clients."""
 
     mode: str = "iid"  # one of HETEROGENEITY_MODES
     dirichlet_alpha: float = 1.0
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     """Each client's local SGD: step size, epochs, batch size and L2 penalty."""
 
     learning_rate: float = 0.1
@@ -87,18 +84,16 @@ class TrainConfig:
     l2_reg: float = 1e-4
 
 
-@dataclass(frozen=True)
-class AggregatorSpec:
-    """The aggregator, by registry name, and its params."""
+class AggregatorSpec(NamedTuple):
+    """The aggregator, by registry name, and its params, read-only."""
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, int | float] = MappingProxyType({})
 
 
 # update_reputation and select_participants read their settings from the
 # reputation section, ledger_record its prices from the resource section.
-@dataclass(frozen=True)
-class ReputationConfig:
+class ReputationConfig(NamedTuple):
     """Reputation decay and the gate a client must clear to participate."""
 
     enabled: bool = True
@@ -106,16 +101,14 @@ class ReputationConfig:
     participation_threshold: float = 0.0
 
 
-@dataclass(frozen=True)
-class ResourceConfig:
+class ResourceConfig(NamedTuple):
     """The objective's prices: alpha per unit of cost, beta per overhead op."""
 
     alpha: float = 0.0
     beta: float = 0.0
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Everything one simulation run depends on.
 
     The field order is the order in which build_config validates, so
@@ -126,19 +119,20 @@ class SimConfig:
     seed: int = 0
     rounds: int = 20
     num_clients: int = 20
-    malicious: AttackSpec = field(default_factory=AttackSpec)
-    dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    heterogeneity: HeterogeneitySpec = field(default_factory=HeterogeneitySpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    aggregator: AggregatorSpec = field(kw_only=True)
-    reputation: ReputationConfig = field(default_factory=ReputationConfig)
-    resource: ResourceConfig = field(default_factory=ResourceConfig)
+    malicious: AttackSpec = AttackSpec()
+    dataset: DatasetConfig = DatasetConfig()
+    heterogeneity: HeterogeneitySpec = HeterogeneitySpec()
+    train: TrainConfig = TrainConfig()
+    aggregator: AggregatorSpec = None  # no default: build_config requires aggregator.name
+    reputation: ReputationConfig = ReputationConfig()
+    resource: ResourceConfig = ResourceConfig()
     eval_fraction: float = 0.2
 
     def to_dict(self) -> dict:
         """Effective config as a plain dict; valid input for build_config."""
-        d = asdict(self)
+        d = {k: v._asdict() if isinstance(v, tuple) else v for k, v in self._asdict().items()}
         d["malicious"]["targets"] = list(self.malicious.targets)
+        d["aggregator"]["params"] = dict(self.aggregator.params)
         synthetic = self.dataset.type == "synthetic"
         for k in ("csv_path",) if synthetic else SYNTHETIC_ONLY:
             del d["dataset"][k]
@@ -184,8 +178,7 @@ def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
     return None
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One aggregator parameter; its type is the type of its default."""
 
     name: str
@@ -194,8 +187,7 @@ class Param:
     exclusive_min: float | None = None
 
 
-@dataclass(frozen=True)
-class AggregatorEntry:
+class AggregatorEntry(NamedTuple):
     """Everything the program knows about one aggregator.
 
     Config validation, the engine, the aggregator function itself and the
@@ -295,26 +287,26 @@ def _read(v, path: str, kind: type):
     return v
 
 
-def _object(raw, path: str, specs) -> dict:
-    """raw as an object whose keys all name one of specs."""
+def _object(raw, path: str, names) -> dict:
+    """raw as an object whose keys are all in names."""
     if not isinstance(raw, dict):
         raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
-    names = {s.name for s in specs}
     for k in raw:
         if k not in names:
             raise ConfigError(f"{path}.{k}" if path else str(k), "unknown key")
     return raw
 
 
-def _read_all(d: dict, specs, prefix: str) -> dict:
-    """Each spec (a dataclass field or a registry Param) read from d in
-    order; its default fills an absent key and gives the type."""
-    return {s.name: _read(d.get(s.name, s.default), prefix + s.name, type(s.default)) for s in specs}
+def _read_all(d: dict, defaults: dict, prefix: str) -> dict:
+    """Each field of defaults (a section's or an aggregator's params) read
+    from d in order; its default fills an absent key and gives the type."""
+    return {k: _read(d.get(k, v), prefix + k, type(v)) for k, v in defaults.items()}
 
 
 def _build_malicious(raw, num_clients: int) -> AttackSpec:
-    d = _object(raw, "malicious", fields(AttackSpec))
-    scalars = _read_all(d, [f for f in fields(AttackSpec) if f.name != "targets"], "malicious.")
+    d = _object(raw, "malicious", AttackSpec._fields)
+    defaults = AttackSpec._field_defaults
+    scalars = _read_all(d, {k: v for k, v in defaults.items() if k != "targets"}, "malicious.")
     targets = d.get("targets", [])
     if not isinstance(targets, list):
         raise ConfigError("malicious.targets", "expected a list of client ids")
@@ -335,8 +327,9 @@ def _build_malicious(raw, num_clients: int) -> AttackSpec:
 
 
 def _build_dataset(raw, num_clients: int) -> DatasetConfig:
-    d = _object(raw, "dataset", fields(DatasetConfig))
-    if _read(d.get("type", DatasetConfig.type), "dataset.type", str) == "synthetic":
+    d = _object(raw, "dataset", DatasetConfig._fields)
+    defaults = DatasetConfig._field_defaults
+    if _read(d.get("type", defaults["type"]), "dataset.type", str) == "synthetic":
         if "csv_path" in d:
             raise ConfigError("dataset.csv_path", "not applicable to synthetic datasets")
     else:
@@ -346,22 +339,23 @@ def _build_dataset(raw, num_clients: int) -> DatasetConfig:
         for k in ("csv_path", "classes"):
             if k not in d:
                 raise ConfigError(f"dataset.{k}", "required for csv datasets")
-    return DatasetConfig(**_read_all(d, fields(DatasetConfig), "dataset."))
+    return DatasetConfig(**_read_all(d, defaults, "dataset."))
 
 
 def _build_aggregator(raw, num_clients: int) -> AggregatorSpec:
-    d = _object(raw, "aggregator", fields(AggregatorSpec))
+    d = _object(raw, "aggregator", AggregatorSpec._fields)
     if "name" not in d:
         raise ConfigError("aggregator.name", "required")
     name = _read(d["name"], "aggregator.name", str)
     entry = AGGREGATORS[name]
-    raw_params = _object(d.get("params", {}), "aggregator.params", entry.params)
-    params = _read_all(raw_params, entry.params, "aggregator.params.")
+    defaults = {p.name: p.default for p in entry.params}
+    raw_params = _object(d.get("params", {}), "aggregator.params", defaults)
+    params = _read_all(raw_params, defaults, "aggregator.params.")
     problem = entry.problem(num_clients, params)
     if problem is not None:
         blamed, message = problem
         raise ConfigError("num_clients" if blamed is None else "aggregator.params." + blamed, message)
-    return AggregatorSpec(name=name, params=params)
+    return AggregatorSpec(name, MappingProxyType(params))
 
 
 # The sections that need more than their fields' own rules.
@@ -381,17 +375,16 @@ def eval_split_size(num_samples: int, eval_fraction: float, num_clients: int) ->
 
 def build_config(raw: dict) -> SimConfig:
     """Validate a raw config dict and materialize every default."""
-    d = _object(raw, "", fields(SimConfig))
+    d = _object(raw, "", SimConfig._fields)
     values: dict = {}
-    for f in fields(SimConfig):
-        if f.default is not MISSING:
-            values[f.name] = _read(d.get(f.name, f.default), f.name, type(f.default))
-        elif f.name in _BUILDERS:
-            values[f.name] = _BUILDERS[f.name](d.get(f.name, {}), values["num_clients"])
+    for name, default in SimConfig._field_defaults.items():
+        if name in _BUILDERS:
+            values[name] = _BUILDERS[name](d.get(name, {}), values["num_clients"])
+        elif isinstance(default, tuple):  # a section: each field by its own rules
+            section = _object(d.get(name, {}), name, default._fields)
+            values[name] = type(default)(**_read_all(section, default._field_defaults, name + "."))
         else:
-            cls = f.default_factory
-            section = _object(d.get(f.name, {}), f.name, fields(cls))
-            values[f.name] = cls(**_read_all(section, fields(cls), f.name + "."))
+            values[name] = _read(d.get(name, default), name, type(default))
     config = SimConfig(**values)
     dataset = config.dataset
     if dataset.type == "synthetic":  # a csv's size is known once the engine loads it

@@ -3,9 +3,9 @@
 ``rounds`` builds the federation from the config seed, then runs the
 cycle one round per step, applying the literal global update rule (new
 params = old params + aggregation delta) and yielding the round's record:
-its metrics row, model, decision, indicators and reputation. ``run`` keeps
-the metrics, the decisions and the last model. Identical configs give
-bit-identical outputs.
+its metrics row, model, decision, indicators, reputation and sigma_pid's
+controller state. ``run`` keeps the metrics, the decisions and the last
+model. Identical configs give bit-identical outputs.
 
 A round has two phases: every participant trains, then every attacker
 poisons its own update. Only a diverged or non-finite update is left out;
@@ -177,8 +177,9 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
 
 @dataclass(frozen=True, eq=False)
 class RoundRecord:
-    """What one round saw and did; ``reputation`` (each client's, by id) and
-    ``params`` are after it. Both are read-only: the next round reads them."""
+    """What one round saw and did; ``reputation`` (each client's, by id),
+    ``params`` and ``pid_state`` (sigma_pid's, else None) are after it. All
+    three are read-only: the next round reads them."""
 
     t: int
     indicators: TrustIndicators
@@ -186,6 +187,7 @@ class RoundRecord:
     reputation: Mapping[ClientId, float]
     params: ModelParams
     metrics: RoundMetrics
+    pid_state: PidState | None
 
 
 class rounds(Iterator[RoundRecord]):
@@ -331,7 +333,8 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             overhead=overhead,
             objective=objective,
         )
-        yield RoundRecord(t, indicators, decision, MappingProxyType(reputation), params, metrics)
+        yield RoundRecord(t, indicators, decision, MappingProxyType(reputation), params, metrics,
+                          pid_state)
 
 
 def run(config: SimConfig) -> RunResult:

@@ -479,3 +479,30 @@ class TestListAggregators:
             "fedavg", "trimmed_mean", "krum", "multi_krum",
             "bulyan", "geomedian", "sigma_pid",
         ]
+
+
+class TestUsageErrors:
+    DEFAULT = str(ROOT / "configs" / "default.json")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", DEFAULT, "--out", "o", "--seed", "abc"],
+         "error: argument --seed: invalid int value: 'abc'"),
+        (["run", "--config", DEFAULT], "error: the following arguments are required: --out"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus'"),
+    ], ids=["bad-seed", "missing-out", "unknown-command"])
+    def test_usage_error_is_one_error_line_and_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                      argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["run", "--help"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fedwatch run")

@@ -1,12 +1,19 @@
 import json
-from dataclasses import MISSING, fields, is_dataclass
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from fedwatch.aggregators import AGGREGATORS
-from fedwatch.config import RULES, ConfigError, SimConfig, build_config, load_config, set_by_path
+from fedwatch.config import (
+    RULES,
+    AggregatorSpec,
+    ConfigError,
+    SimConfig,
+    build_config,
+    load_config,
+    set_by_path,
+)
 from fedwatch.core import STREAM_FIELD_LIMIT, substream
 from fedwatch.datagen import HETEROGENEITY_MODES
 
@@ -44,6 +51,37 @@ class TestDefaults:
         echo = cfg.to_dict()
         again = build_config(echo)
         assert again.to_dict() == echo
+
+
+class TestFrozen:
+    KRUM = cfg_dict(num_clients=6, aggregator={"name": "krum", "params": {"byzantine_f": 1}})
+
+    def test_aggregator_params_refuse_a_write_after_validation(self):
+        # a write would run krum on a value build_config refuses
+        cfg = build_config(self.KRUM)
+        with pytest.raises(TypeError):
+            cfg.aggregator.params["byzantine_f"] = -1
+        assert cfg.aggregator.params == {"byzantine_f": 1}
+        echo = cfg.to_dict()
+        assert type(echo["aggregator"]["params"]) is dict
+        assert json.loads(json.dumps(echo)) == echo
+        assert build_config(echo) == cfg
+
+    def test_an_unbuilt_aggregator_spec_has_no_params_to_write(self):
+        with pytest.raises(TypeError):
+            AggregatorSpec("fedavg").params["x"] = 1
+
+    def test_every_field_of_every_section_refuses_assignment(self):
+        cfg = build_config(self.KRUM)
+        for name in cfg._fields:
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, getattr(cfg, name))
+            section = getattr(cfg, name)
+            for field in getattr(section, "_fields", ()):
+                with pytest.raises(AttributeError):
+                    setattr(section, field, getattr(section, field))
+        with pytest.raises(AttributeError):
+            cfg.no_such_field = 1
 
 
 class TestStrictness:
@@ -339,17 +377,17 @@ def test_every_rule_names_a_config_field():
         *sections, leaf = path.split(".")
         for name in sections:
             cls = get_type_hints(cls)[name]
-        assert leaf in {f.name for f in fields(cls)}, path
+        assert leaf in cls._fields, path
 
 
 def _real_field_paths(cls, prefix=""):
-    """Dotted path of every float field in cls and its section dataclasses."""
+    """Dotted path of every float field in cls and its section NamedTuples."""
     hints = get_type_hints(cls)
-    for f in fields(cls):
-        if is_dataclass(hints[f.name]):
-            yield from _real_field_paths(hints[f.name], prefix + f.name + ".")
-        elif hints[f.name] is float:
-            yield prefix + f.name
+    for name in cls._fields:
+        if hasattr(hints[name], "_fields"):
+            yield from _real_field_paths(hints[name], prefix + name + ".")
+        elif hints[name] is float:
+            yield prefix + name
 
 
 REAL_FIELDS = list(_real_field_paths(SimConfig))

@@ -11,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from fedwatch import core
-from fedwatch.aggregators import AGGREGATORS
+from fedwatch import core, engine
+from fedwatch.aggregators import AGGREGATORS, aggregate
 from fedwatch.config import ConfigError, build_config, eval_split_size, set_by_path
 from fedwatch.core import Rng, substream
 from fedwatch.datagen import generate_synthetic, load_csv
@@ -667,6 +667,27 @@ class TestRoundsIterator:
             metrics.append(record.metrics)
         assert any(m.non_participants for m in metrics)
         assert metrics_to_csv(metrics) == metrics_to_csv(run(conf).metrics)
+
+    def test_a_records_pid_state_is_the_one_the_next_round_reads(self, monkeypatch):
+        calls = []  # (state given, state returned) per aggregate call
+
+        def spy(name, params, updates, state=None):
+            decision, out = aggregate(name, params, updates, state)
+            calls.append((state, out))
+            return decision, out
+
+        monkeypatch.setattr(engine, "aggregate", spy)
+        records = list(rounds(cfg(aggregator={"name": "sigma_pid", "params": {"ki": 0.5, "kd": 0.5}})))
+        assert len(records) == len(calls) > 1
+        previous = None
+        for record, (given, returned) in zip(records, calls):
+            assert given is previous and record.pid_state is returned
+            for array in (record.pid_state.prev_error, record.pid_state.integral):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                record.pid_state.integral[:] = 0.0
+            previous = record.pid_state
+        assert all(r.pid_state is None for r in rounds(cfg(rounds=2)))
 
     def test_construction_evaluates_the_zero_model(self):
         steps = rounds(cfg(rounds=0))

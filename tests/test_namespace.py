@@ -91,15 +91,19 @@ class TestImports:
             "fedwatch.load_config('configs/default.json')\n"
             "loaded()\n"
             "print(json.dumps('numpy' in sys.modules))\n"
+            "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
             "fedwatch.AGGREGATORS\n"
             "print(json.dumps('numpy' in sys.modules))\n"
             "fedwatch.run\n"
             "loaded()\n"
         )
-        bare, config, numpy_after_config, numpy_after_registry, everything = run_python(code)
+        bare, config, numpy_after_config, introspection, numpy_after_registry, everything = (
+            run_python(code)
+        )
         assert bare == ["fedwatch"]
         assert config == ["fedwatch", "fedwatch.config"]
         assert numpy_after_config is False and numpy_after_registry is False
+        assert introspection == []  # the config sections are NamedTuples, not dataclasses
         assert everything == ["fedwatch", *(f"fedwatch.{m}" for m in LAYERS)]
 
     def test_a_submodule_is_imported_when_named(self):
