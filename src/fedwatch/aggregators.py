@@ -55,12 +55,13 @@ class AggregationDecision:
 
 @dataclass(frozen=True)
 class PidState:
-    """Controller memory threaded through rounds. ``sigma_pid`` returns a
-    new state of read-only arrays and only reads the one it is given, so a
-    state may be kept, as a round's record keeps it, and passed on as is."""
+    """Controller memory threaded through rounds; None stands for none yet.
+    ``sigma_pid`` returns a new state of read-only arrays and only reads the
+    one it is given, so a state may be kept, as a round's record keeps it,
+    and passed on as is."""
 
-    prev_error: np.ndarray | None = None
-    integral: np.ndarray | None = None
+    prev_error: np.ndarray
+    integral: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,19 +127,16 @@ def stack_rows(ids, mat: np.ndarray, samples, shape: tuple[int, int]) -> UpdateS
 
 def _checked(name: str, updates, **params) -> tuple:
     """Every aggregator's entry: stack_updates(updates), then each param
-    ``typed`` as its registry default, except that an integral real counts
-    as an integer, then a ValueError unless the update count and params
-    meet the named aggregator's registry entry.
+    ``typed`` as its registry default, as config types it, then a
+    ValueError unless the update count and params meet the named
+    aggregator's registry entry.
 
     Returns the UpdateStack followed by the params' values in order.
     """
     stack = stack_updates(updates)
     for p in AGGREGATORS[name].params:
-        v, kind = params[p.name], type(p.default)
-        if kind is int and isinstance(v, (float, np.floating)) and v.is_integer():
-            v = int(v)
         try:
-            params[p.name] = typed(v, kind)
+            params[p.name] = typed(params[p.name], type(p.default))
         except ValueError as e:
             raise ValueError(f"{name}.{p.name}: {e}") from None
     problem = AGGREGATORS[name].problem(len(stack), params)
@@ -514,21 +512,16 @@ def sigma_pid(
         keep_mask = np.zeros(n, dtype=bool)
         keep_mask[np.argmin(dists)] = True
     kept = np.flatnonzero(keep_mask)
-    raw = _weighted_mean(stack.mat, stack.weights, kept)
-
-    error = raw
-    prev = state.prev_error if state is not None else None
-    integral = state.integral if state is not None else None
-    integral = error.copy() if integral is None else integral + error
+    error = _weighted_mean(stack.mat, stack.weights, kept)
+    integral = error.copy() if state is None else state.integral + error
     cap = INTEGRAL_CAP * float(np.linalg.norm(error))
     inorm = float(np.linalg.norm(integral))
     if inorm > cap:
         integral = integral * (cap / inorm)
-    derivative = np.zeros_like(error) if prev is None else error - prev
+    derivative = np.zeros_like(error) if state is None else error - state.prev_error
     delta = kp * error + ki * integral + kd * derivative
 
-    info = {"threshold": threshold, "distances": {stack.ids[i]: float(dists[i]) for i in range(n)}}
-    decision = _decision(stack, kept, delta, 2 * n + len(kept) + 3, info)
+    decision = _decision(stack, kept, delta, 2 * n + len(kept) + 3, {"threshold": threshold})
     error.flags.writeable = integral.flags.writeable = False
     return decision, PidState(prev_error=error, integral=integral)
 

@@ -7,11 +7,11 @@ import math
 import numpy as np
 
 from .config import ATTACK_KINDS, AttackSpec
-from .core import ClientUpdate, ModelParams, Rng
+from .core import ClientUpdate, ModelParams
 from .datagen import Dataset
 
 
-def flip_labels(data: Dataset, fraction: float, num_classes: int, rng: Rng) -> Dataset:
+def flip_labels(data: Dataset, fraction: float, num_classes: int, rng: np.random.Generator) -> Dataset:
     """Relabel ceil(fraction * n) uniformly chosen samples to (y + 1) mod C.
 
     The shift rule keeps the class histogram a permutation of itself at
@@ -31,7 +31,7 @@ def flip_labels(data: Dataset, fraction: float, num_classes: int, rng: Rng) -> D
     return Dataset(features=data.features, labels=labels)
 
 
-def poison_update(update: ClientUpdate, spec: AttackSpec, rng: Rng) -> ClientUpdate:
+def poison_update(update: ClientUpdate, spec: AttackSpec, rng: np.random.Generator) -> ClientUpdate:
     """Apply a model-poisoning transform to one client's delta.
 
     label_flip acts on data, not updates, and is rejected here. Client id

@@ -8,6 +8,7 @@ machine-parsable line to stderr prefixed ``error:``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -43,12 +44,15 @@ def cmd_run(args) -> int:
 
 
 def _parse_sweep_value(text: str):
+    """A bool, int, float or else the string; ValueError for an integer of
+    more digits than int() reads, which float() would take as inf."""
     if text in ("true", "false"):
         return text == "true"
     try:
         return int(text)
     except ValueError:
-        pass
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            raise
     try:
         return float(text)
     except ValueError:
@@ -60,7 +64,10 @@ def cmd_sweep(args) -> int:
         config = load_config(args.config)
     except OSError as e:
         return _fail(EXIT_IO, f"cannot read config: {e}")
-    values = [_parse_sweep_value(v) for v in args.values.split(",") if v != ""]
+    try:
+        values = [_parse_sweep_value(v) for v in args.values.split(",") if v != ""]
+    except ValueError as e:
+        raise ConfigError(args.param, str(e)) from None
     try:
         sweep(config, args.param, values, out_dir=args.out)
     except OSError as e:

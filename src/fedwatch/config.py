@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 from types import MappingProxyType
 from typing import NamedTuple
 
-SEED_MAX = (1 << 64) - 1  # Rng keeps a seed's low 64 bits, so a larger seed repeats a run
+SEED_MAX = (1 << 64) - 1  # Rng reads only a seed's low 64 bits, so a larger seed repeats a run
 
 # Rounds and client ids each fill 24 bits of a stream id (see core.substream).
 STREAM_FIELD_LIMIT = 1 << 24
@@ -410,8 +410,9 @@ def load_config(path: str) -> SimConfig:
     """Read and validate a config file. OSError propagates.
 
     The bytes go to json.loads, which finds the encoding itself, so the
-    locale plays no part; a file it cannot decode, or an integer over
-    Python's ``int_max_str_digits``, is invalid JSON. A key repeated within
+    locale plays no part; a file it cannot decode, an integer over
+    Python's ``int_max_str_digits`` or nesting deeper than the parser's
+    recursion allows is invalid JSON. A key repeated within
     one object is an error, as an unknown key is.
     """
     with open(path, "rb") as fh:
@@ -420,7 +421,7 @@ def load_config(path: str) -> SimConfig:
         raw = json.loads(data, object_pairs_hook=_unique_keys)
     except ConfigError:
         raise
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, too many digits
+    except (ValueError, RecursionError) as e:  # also too many digits, or too deep
         raise ConfigError("", f"invalid JSON: {e}") from None
     return build_config(raw)
 

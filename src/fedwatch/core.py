@@ -154,25 +154,13 @@ class Rng(np.random.Generator):
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id)
-        super().__init__(np.random.PCG64(mix64(self.seed, self.stream_id)))
-
-    @classmethod
-    def _from_words(cls, seed: int, stream_id: int, words: np.ndarray) -> "Rng":
-        """The stream ``Rng(seed, stream_id)`` gives, from the four words
-        SeedSequence would hash its mix64 value to."""
-        rng = cls.__new__(cls)
-        rng.seed = seed
-        rng.stream_id = stream_id
-        np.random.Generator.__init__(rng, np.random.PCG64(PresetWords(words)))
-        return rng
+        super().__init__(np.random.PCG64(mix64(int(seed), int(stream_id))))
 
 
 class StreamGrid:
-    """``Rng(seed, substream(purpose, t, c))`` for each round t in
-    range(rounds) and each c in clients, each in exactly the state that
-    constructor gives.
+    """A numpy Generator for each round t in range(rounds) and each c in
+    clients, each in exactly the state ``Rng(seed, substream(purpose, t,
+    c))`` starts in.
 
     The SeedSequence hash (see :func:`_seed_sequence_words`) runs over a
     block of rounds at once, every client of each: as many rounds as fit in
@@ -194,14 +182,14 @@ class StreamGrid:
         self._first = 0
         self._words = np.empty((0, len(clients), 4), np.uint64)  # rounds x clients x 4
 
-    def rng(self, t: int, c: int) -> Rng:
+    def rng(self, t: int, c: int) -> np.random.Generator:
         """Client c's stream at round t."""
         k = t - self._first
         if not 0 <= k < len(self._words):
             self._hash_block(t)
             k = t - self._first
         words = self._words[k, self._column[c]]
-        return Rng._from_words(self.seed, _stream_id(self.purpose, t, c), words)
+        return np.random.Generator(np.random.PCG64(PresetWords(words)))
 
     def _hash_block(self, t: int) -> None:
         """Hash every stream of the block that holds round t."""

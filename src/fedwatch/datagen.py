@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HETEROGENEITY_MODES, HeterogeneitySpec
-from .core import ClientId, Rng
+from .config import ARRAY_BYTES_LIMIT, HETEROGENEITY_MODES, HeterogeneitySpec
+from .core import ClientId
 
 # Class means are pushed at least this many cluster widths apart so a
 # linear model can separate them.
@@ -52,14 +52,14 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class ClientShard:
-    """One client's local training data, with its source-row indices."""
+    """One client's local training data."""
 
     client: ClientId
     train: Dataset
-    indices: np.ndarray  # ascending indices of its rows among the training rows
 
 
-def _class_means(num_classes: int, num_features: int, cluster_spread: float, rng: Rng) -> np.ndarray:
+def _class_means(num_classes: int, num_features: int, cluster_spread: float,
+                 rng: np.random.Generator) -> np.ndarray:
     """Regular-polygon class means with nearest neighbors 4 spreads apart.
 
     The polygon (a line when num_features is 1) lives in a random 2-plane
@@ -94,7 +94,7 @@ def generate_synthetic(
     num_features: int,
     samples_per_class: int,
     cluster_spread: float,
-    rng: Rng,
+    rng: np.random.Generator,
     order: np.ndarray | None = None,
 ) -> Dataset:
     """Isotropic Gaussian clusters, one per class, exactly balanced labels.
@@ -140,9 +140,10 @@ def load_csv(path: str) -> Dataset:
     """Load a dataset from CSV with header ``f0,...,f{d-1},label``.
 
     The file is read as UTF-8, with or without a byte-order mark. Rejects a
-    malformed header, rows of wrong arity, non-finite features, and
-    non-integer or negative labels. Features go straight into one growable
-    float64 buffer, which becomes the feature matrix without a copy.
+    malformed header, rows of wrong arity, non-finite features, and labels
+    that are not integers, are negative or lie beyond int64. Features go
+    straight into one growable float64 buffer, which becomes the feature
+    matrix without a copy.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -170,6 +171,8 @@ def load_csv(path: str) -> Dataset:
                 raise ValueError(f"{path}: line {lineno}: non-finite value")
             if label < 0:
                 raise ValueError(f"{path}: line {lineno}: negative label")
+            if label >= 1 << 63:
+                raise ValueError(f"{path}: line {lineno}: label beyond int64")
             feats.extend(values)
             labels.append(label)
     if not labels:
@@ -195,7 +198,7 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
 
 
 def partition(
-    labels: np.ndarray, num_clients: int, spec: HeterogeneitySpec, rng: Rng
+    labels: np.ndarray, num_clients: int, spec: HeterogeneitySpec, rng: np.random.Generator
 ) -> list[np.ndarray]:
     """Deal rows, given by their labels, to clients: each client's ascending
     row indices, in client order.
@@ -223,7 +226,10 @@ def partition(
     else:
         if not spec.dirichlet_alpha > 0:
             raise ValueError(f"dirichlet_alpha must be positive, got {spec.dirichlet_alpha}")
-        # labels are non-negative; np.unique would import numpy.ma
+        # labels are non-negative; np.unique would import numpy.ma. np.bincount
+        # holds max + 1 counts, and past an array's limit it corrupts the heap.
+        if int(labels.max()) >= ARRAY_BYTES_LIMIT // 8:
+            raise ValueError(f"label {int(labels.max())} is too large to count")
         by_class = [np.flatnonzero(labels == c) for c in np.flatnonzero(np.bincount(labels))]
         alpha = np.full(num_clients, float(spec.dirichlet_alpha))
         for _ in range(100):

@@ -27,7 +27,15 @@ import numpy as np
 
 from .aggregators import AggregationDecision, PidState, UpdateStack, aggregate, stack_rows
 from .attacks import flip_labels, poison_update
-from .config import AGGREGATORS, ConfigError, SimConfig, build_config, eval_split_size, set_by_path
+from .config import (
+    AGGREGATORS,
+    ARRAY_BYTES_LIMIT,
+    ConfigError,
+    SimConfig,
+    build_config,
+    eval_split_size,
+    set_by_path,
+)
 from .core import ClientId, ModelParams, Rng, StreamGrid, substream
 from .datagen import (
     ClientShard,
@@ -126,6 +134,9 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
         except (OSError, ValueError) as e:
             raise ConfigError("dataset.csv_path", str(e)) from None
         labels = full.labels
+        if ds.classes * (full.num_features + 1) * 8 > ARRAY_BYTES_LIMIT:
+            raise ConfigError("dataset.classes", "classes x (csv features + 1) x 8 bytes exceed "
+                              f"{ARRAY_BYTES_LIMIT}, the most one array can hold")
         if int(labels.max()) >= ds.classes:
             raise ConfigError(
                 "dataset.classes",
@@ -161,8 +172,8 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
 
     bounds = np.cumsum([n_eval] + [len(ix) for ix in rows]).tolist()
     shards = [
-        ClientShard(cid, Dataset(data.features[lo:hi], data.labels[lo:hi]), ix)
-        for cid, (lo, hi, ix) in enumerate(zip(bounds, bounds[1:], rows))
+        ClientShard(cid, Dataset(data.features[lo:hi], data.labels[lo:hi]))
+        for cid, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
     attack = config.malicious
     if attack.kind == "label_flip":
@@ -171,7 +182,7 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
             shard = shards[cid]
             rng = flip_streams.rng(0, cid)
             flipped = flip_labels(shard.train, attack.fraction, config.dataset.classes, rng)
-            shards[cid] = ClientShard(cid, flipped, shard.indices)
+            shards[cid] = ClientShard(cid, flipped)
     return Dataset(data.features[:n_eval], data.labels[:n_eval]), shards
 
 
@@ -179,9 +190,9 @@ def _build_data(config: SimConfig) -> tuple[Dataset, list[ClientShard]]:
 class RoundRecord:
     """What one round saw and did; ``reputation`` (each client's, by id),
     ``params`` and ``pid_state`` (sigma_pid's, else None) are after it. All
-    three are read-only: the next round reads them."""
+    three are read-only: the next round reads them. The round's number is
+    ``metrics.round``."""
 
-    t: int
     indicators: TrustIndicators
     decision: AggregationDecision
     reputation: Mapping[ClientId, float]
@@ -333,7 +344,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
             overhead=overhead,
             objective=objective,
         )
-        yield RoundRecord(t, indicators, decision, MappingProxyType(reputation), params, metrics,
+        yield RoundRecord(indicators, decision, MappingProxyType(reputation), params, metrics,
                           pid_state)
 
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import TrainConfig
-from .core import ClientUpdate, ModelParams, Rng
+from .core import ClientUpdate, ModelParams
 from .datagen import ClientShard, Dataset
 
 
@@ -75,7 +75,7 @@ def loss_and_gradient(
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def local_train(
-    start: ModelParams, shard: ClientShard, cfg: TrainConfig, rng: Rng
+    start: ModelParams, shard: ClientShard, cfg: TrainConfig, rng: np.random.Generator
 ) -> ClientUpdate:
     """Run local SGD epochs and return the resulting delta.
 

@@ -519,9 +519,11 @@ class TestSharedEntry:
     def test_integer_params_are_taken_as_int(self):
         ups = random_updates(Rng(113), 7, 3)
         for call in (krum, bulyan, lambda u, f: trimmed_mean(u, f)):
-            a, b = call(ups, 1), call(ups, 1.0)
+            a, b = call(ups, 1), call(ups, np.int64(1))
             assert (a.included, a.excluded, a.overhead_ops) == (b.included, b.excluded, b.overhead_ops)
             assert np.array_equal(a.delta.values, b.delta.values)
+            with pytest.raises(ValueError, match="expected an integer, got 1.0$"):
+                call(ups, 1.0)
 
     @pytest.mark.parametrize("name", AGGREGATOR_CALLS)
     def test_included_and_excluded_split_the_ids_in_ascending_order(self, name):

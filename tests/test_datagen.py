@@ -127,6 +127,11 @@ class TestPartition:
         assert all(len(ix) >= 1 for ix in rows)
         assert len(rows) == num_clients
 
+    def test_a_label_no_count_array_can_hold_is_refused(self):
+        # np.bincount would size its counts by the label and corrupt the heap
+        with pytest.raises(ValueError, match=f"^label {2**63 - 1} is too large to count$"):
+            partition(np.array([0, 2**63 - 1]), 2, HeterogeneitySpec("dirichlet"), Rng(0, 1))
+
     def test_unknown_mode_rejected(self):
         ds = generate_synthetic(3, 2, 8, 0.5, Rng(0))
         with pytest.raises(ValueError, match="unknown heterogeneity mode 'pathological'"):
@@ -230,6 +235,13 @@ class TestCsvLoader:
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n1.0,zero\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("label", [2**63, 10**20, 2**64])
+    def test_rejects_a_label_beyond_int64(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label\n1.0,{2**63 - 1}\n1.0,{label}\n")
+        with pytest.raises(ValueError, match="line 3: label beyond int64$"):
             load_csv(str(path))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])

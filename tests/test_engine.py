@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from fedwatch import core, engine
 from fedwatch.aggregators import AGGREGATORS, aggregate
 from fedwatch.config import ConfigError, build_config, eval_split_size, set_by_path
 from fedwatch.core import Rng, substream
-from fedwatch.datagen import generate_synthetic, load_csv
+from fedwatch.datagen import generate_synthetic, load_csv, partition
 from fedwatch.engine import (
     STREAM_DATA,
+    STREAM_PARTITION,
     STREAM_SPLIT,
     EngineError,
     _build_data,
@@ -131,7 +133,6 @@ class TestRun:
         shard = next(s for s in shards_of(conf) if s.client == 2)
         clean = cfg()  # same seed, no attack: same partition
         clean_shard = next(s for s in shards_of(clean) if s.client == 2)
-        assert np.array_equal(shard.indices, clean_shard.indices)
         assert not np.array_equal(shard.train.labels, clean_shard.train.labels)
         assert np.array_equal(shard.train.features, clean_shard.train.features)
 
@@ -351,12 +352,14 @@ class TestDataLayout:
     def test_shard_rows_match_indices(self, name, tmp_path):
         conf = self.csv_conf(tmp_path) if name == "csv" else cfg(**self.CONFIGS[name])
         train, eval_oracle = self.split_oracle(conf)
+        rows = partition(train.labels, conf.num_clients, conf.heterogeneity,
+                         Rng(conf.seed, substream(STREAM_PARTITION)))
         eval_data, shards = _build_data(conf)
         assert eval_data.features.tobytes() == eval_oracle.features.tobytes()
         assert np.array_equal(eval_data.labels, eval_oracle.labels)
         for s in shards:
-            assert s.train.features.tobytes() == train.features[s.indices].tobytes()
-            assert np.array_equal(s.train.labels, train.labels[s.indices])
+            assert s.train.features.tobytes() == train.features[rows[s.client]].tobytes()
+            assert np.array_equal(s.train.labels, train.labels[rows[s.client]])
 
     def test_data_step_peak_is_under_one_and_a_half_features(self):
         conf = cfg(num_clients=10, dataset={
@@ -565,7 +568,13 @@ class TestOneStackPerRound:
         assert all(mat is stack.mat for mat, stack in zip(measured, built))
         if name == "sigma_pid":
             for record in records:
-                assert record.decision.info["distances"] == record.indicators.distance
+                assert list(record.decision.info) == ["threshold"]
+                dist = record.indicators.distance
+                over = {c for c, d in dist.items() if d > record.decision.info["threshold"]}
+                if len(over) < len(dist):
+                    assert set(record.decision.excluded) == over
+                else:
+                    assert record.decision.included == (min(dist, key=dist.get),)
 
 
 
@@ -604,6 +613,17 @@ class TestEachRoundHoldsItsDeltasOnce:
 
 class TestRoundsIterator:
     """``rounds`` yields one record a round; ``run`` keeps no trajectory."""
+
+    def test_each_fact_of_a_round_is_held_once(self):
+        # the round's number is metrics.round, a shard is its rows alone, and
+        # only None stands for no controller state yet
+        records = list(rounds(cfg(rounds=2, aggregator={"name": "sigma_pid"})))
+        assert [r.metrics.round for r in records] == [0, 1]
+        assert not hasattr(records[0], "t")
+        assert [f.name for f in fields(engine.ClientShard)] == ["client", "train"]
+        assert list(records[0].decision.info) == ["threshold"]
+        with pytest.raises(TypeError):
+            engine.PidState()
 
     @staticmethod
     def retained_bytes(conf) -> int:
@@ -703,7 +723,7 @@ class TestRoundsIterator:
         seen = []
         for record in steps:
             assert np.geterr() == left  # the consumer never runs under the round's state
-            seen.append(record.t)
+            seen.append(record.metrics.round)
             if stop == "break":
                 break
             steps.close()
@@ -712,7 +732,7 @@ class TestRoundsIterator:
 
     @pytest.mark.filterwarnings("error")
     def test_huge_noise_rounds_warn_nothing(self):
-        assert [r.t for r in rounds(build_config(HUGE_NOISE))] == [0, 1]
+        assert [r.metrics.round for r in rounds(build_config(HUGE_NOISE))] == [0, 1]
 
 
 class TestCsvFormat:

@@ -1,12 +1,15 @@
 """No valid config crashes: over small configs with attacks of any size,
-``run`` returns or raises ConfigError or EngineError and warns nothing, and
-the CLI exits 0, 2, 3 or 4 with at most one ``error:`` line."""
+on synthetic or csv data, ``run`` returns or raises ConfigError or
+EngineError and warns nothing, and the CLI exits 0, 2, 3 or 4 with at most
+one ``error:`` line; so does any config file, however deeply nested."""
 
 import contextlib
 import io
 import json
 import os
 import tempfile
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,28 +100,122 @@ HUGE_NOISE = {
 }
 
 
-@pytest.mark.filterwarnings("error")
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(small_configs())
-@example(HUGE_NOISE)
-def test_valid_config_runs_or_fails_cleanly(raw):
-    try:
-        run(build_config(raw))
-    except (ConfigError, EngineError):
-        pass
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w") as fh:
-            json.dump(raw, fh)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+def assert_cli_exits_cleanly(tmp: str, text: str) -> int:
+    """Run ``fedwatch run`` on the config text: it exits 0 with nothing on
+    stderr, or 2, 3 or 4 with one ``error:`` line and no output directory."""
+    path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+    with open(path, "w") as fh:
+        fh.write(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", path, "--out", out])
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert err.getvalue() == ""
     else:
         assert err.getvalue().startswith("error:")
         assert err.getvalue().count("\n") == 1
+        assert not os.path.exists(out)
+    return code
+
+
+def assert_runs_cleanly(raw: dict) -> None:
+    """``run`` returns or raises ConfigError or EngineError, and the CLI
+    exits cleanly, on the config raw."""
+    try:
+        run(build_config(raw))
+    except (ConfigError, EngineError):
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_cli_exits_cleanly(tmp, json.dumps(raw))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_configs())
+@example(HUGE_NOISE)
+def test_valid_config_runs_or_fails_cleanly(raw):
+    assert_runs_cleanly(raw)
+
+
+# A label or classes value past these cannot be counted or modelled: int64
+# ends at 2**63 - 1, and 2**59 classes of even one feature need 2**63 bytes.
+CSV_LABELS = [2**59, 2**60 - 2, 2**60 - 1, 2**63 - 1, 2**63, 2**64, 10**20]
+
+
+@st.composite
+def csv_configs(draw):
+    """(config, csv text): a small config on a csv dataset whose labels run
+    up to and beyond int64 and whose classes run up to 2**64. Classes is
+    either small or more than any model array can hold, so no run asks for
+    a large array."""
+    raw = draw(small_configs())
+    n, features = raw["num_clients"], draw(st.integers(1, 3))
+    rows = draw(st.integers(2 * n, 40))
+    labels = draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows))
+    if draw(st.integers(0, 3)) == 0:
+        labels[draw(st.integers(0, rows - 1))] = draw(
+            st.one_of(st.integers(0, 2**64), st.sampled_from(CSV_LABELS))
+        )
+    values = np.random.default_rng(draw(st.integers(0, 2**32))).normal(size=(rows, features))
+    lines = [",".join([f"f{i}" for i in range(features)] + ["label"])]
+    lines += [",".join(map(repr, row.tolist())) + f",{y}" for row, y in zip(values, labels)]
+    classes = draw(st.integers(2**59, 2**64) if draw(st.integers(0, 3)) == 0 else st.integers(2, 4))
+    raw["dataset"] = {"type": "csv", "classes": classes}
+    raw["heterogeneity"] = {"mode": draw(st.sampled_from(["iid", "dirichlet"]))}
+    return raw, "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(csv_configs())
+def test_valid_csv_config_runs_or_fails_cleanly(case):
+    raw, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        raw["dataset"]["csv_path"] = os.path.join(tmp, "data.csv")
+        with open(raw["dataset"]["csv_path"], "w") as fh:
+            fh.write(text)
+        assert_runs_cleanly(raw)
+
+
+def nested(depth: int, kind: str) -> str:
+    """A JSON value of 0 inside depth arrays or single-key objects."""
+    left, right = ("[", "]") if kind == "array" else ('{"a": ', "}")
+    return left * depth + "0" + right * depth
+
+
+# Config texts with one value replaced by "@": the whole document, a string,
+# an integer, a list, an aggregator's params and one of its params.
+NESTING_SLOTS = [
+    "@",
+    '{"description": @, "aggregator": {"name": "fedavg"}}',
+    '{"seed": @, "aggregator": {"name": "fedavg"}}',
+    '{"malicious": {"targets": @}, "aggregator": {"name": "fedavg"}}',
+    '{"aggregator": {"name": "krum", "params": @}}',
+    '{"rounds": 1, "aggregator": {"name": "krum", "params": {"byzantine_f": @}}}',
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(NESTING_SLOTS),
+    st.one_of(st.integers(0, 1200), st.sampled_from([30_000, 50_000, 100_000])),
+    st.sampled_from(["array", "object"]),
+)
+def test_a_config_nested_to_any_depth_exits_cleanly(slot, depth, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_cli_exits_cleanly(tmp, slot.replace("@", nested(depth, kind)))
+
+
+# Each ended in a RecursionError traceback: the parser gives up on nesting
+# deeper than Python's recursion limit.
+@pytest.mark.parametrize("text", [
+    nested(100_000, "array"),
+    NESTING_SLOTS[1].replace("@", nested(50_000, "array")),
+    NESTING_SLOTS[4].replace("@", nested(30_000, "object")),
+], ids=["document", "description", "params"])
+def test_json_nested_past_the_parser_exits_2(tmp_path, text):
+    assert assert_cli_exits_cleanly(str(tmp_path), text) == 2
 
 
 def test_rounds_past_the_stream_id_field_exit_2(tmp_path):
@@ -167,6 +264,46 @@ def test_a_dataset_no_array_can_hold_exits_2(tmp_path, key, value):
     assert code == 2
     assert err.startswith("error: dataset: ") and err.count("\n") == 1
     assert "the most one array can hold" in err
+    assert not (tmp_path / "out").exists()
+
+
+def csv_run(tmp_path, rows, classes, mode="iid") -> tuple[int, str]:
+    """``cli_run`` on a 30-row, 2-feature csv ending in the given rows."""
+    lines = ["f0,f1,label"] + [f"{i},{i % 3},{i % 2}" for i in range(30)] + rows
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    dataset = {"type": "csv", "csv_path": str(tmp_path / "data.csv"), "classes": classes}
+    return cli_run(tmp_path, {**HUGE_NOISE, "dataset": dataset, "heterogeneity": {"mode": mode}})
+
+
+def test_a_csv_label_beyond_int64_exits_2(tmp_path):
+    code, err = csv_run(tmp_path, ["1.0,2.0,99999999999999999999"], 2)
+    assert code == 2
+    assert err == f"error: dataset.csv_path: {tmp_path / 'data.csv'}: line 32: label beyond int64\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("classes, rows", [
+    (10**30, []),  # asked numpy for a model no array can hold
+    (2**63, [f"1.0,2.0,{2**63 - 1}"]),  # reached np.bincount, which corrupts the heap
+])
+def test_csv_classes_no_model_array_can_hold_exits_2(tmp_path, classes, rows):
+    code, err = csv_run(tmp_path, rows, classes, mode="dirichlet")
+    assert code == 2
+    assert err.startswith("error: dataset.classes: classes x (csv features + 1) x 8 bytes exceed")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_integer_of_too_many_digits_exits_2(tmp_path):
+    # float() took it as inf, and the error spoke of inf
+    default = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", default, "--param", "rounds", "--values", "1" * 5000,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue().startswith("error: rounds: Exceeds the limit (4300 digits)")
+    assert "value has 5000 digits" in err.getvalue() and err.getvalue().count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -123,7 +123,7 @@ class TestRegistryEntries:
 
     def test_aggregate_dispatches_by_name(self):
         ups = updates(7)
-        marker = aggregators.PidState()
+        marker = aggregators.PidState(np.zeros(1), np.zeros(1))
         decision, state = aggregators.aggregate("krum", {"byzantine_f": 1}, ups, marker)
         assert state is marker
         assert decision.included == aggregators.krum(ups, 1).included
@@ -175,17 +175,26 @@ class TestParamTypes:
             aggregators.krum(ups, byzantine_f=True)
         with pytest.raises(ValueError, match=r"^sigma_pid\.sigma_k: expected a number, got '2'$"):
             aggregators.sigma_pid(ups, None, sigma_k="2")
+        with pytest.raises(ValueError, match=r"^krum\.byzantine_f: expected an integer, got 2\.0$"):
+            aggregators.krum(ups, 2.0)
         five = aggregators.geomedian(ups, weiszfeld_max_iters=5)
         assert five.info["iterations"] == 5
-        assert decision_bytes(aggregators.geomedian(ups, weiszfeld_max_iters=5.0)) == decision_bytes(five)
+        assert decision_bytes(aggregators.geomedian(ups, weiszfeld_max_iters=np.int64(5))) == decision_bytes(five)
 
     @pytest.mark.parametrize("name, param", INT_PARAMS)
-    def test_an_integral_real_or_numpy_integer_decides_as_the_int(self, name, param):
+    def test_a_numpy_integer_decides_as_the_int_and_an_integral_real_is_refused(self, name, param):
         value = {"trim_beta": 2, "byzantine_f": 2, "multi_krum_m": 3, "weiszfeld_max_iters": 5}[param]
         ups = updates(20)
         want = decision_bytes(call(name, ups, **{**defaults(name), param: value}))
-        for v in (float(value), np.float64(value), np.float32(value), np.int64(value), np.int32(value)):
+        for v in (np.int64(value), np.int32(value)):
             assert decision_bytes(call(name, ups, **{**defaults(name), param: v})) == want, repr(v)
+        for v in (float(value), np.float64(value), np.float32(value)):
+            raw = {"num_clients": 20, "aggregator": {"name": name, "params": {param: v}}}
+            with pytest.raises(ConfigError) as conf:
+                build_config(raw)
+            with pytest.raises(ValueError) as direct:
+                call(name, ups, **{**defaults(name), param: v})
+            assert str(direct.value) == f"{name}.{param}: {conf.value.message}", repr(v)
 
     def test_sigma_pid_int_gains_decide_as_real_gains(self):
         def two_rounds(**gains):

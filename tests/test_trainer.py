@@ -23,7 +23,7 @@ def mp(values, shape):
 
 
 def shard_of(ds, client=0):
-    return ClientShard(client=client, train=ds, indices=np.arange(ds.num_samples))
+    return ClientShard(client=client, train=ds)
 
 
 class TestLossAndGradient:
@@ -163,7 +163,7 @@ class TestLocalTrainMatchesReference:
         data = Dataset(
             rng.standard_normal((n, features)) * 2.0, rng.integers(0, classes, size=n)
         )
-        shard = ClientShard(client=3, train=data, indices=np.arange(n))
+        shard = ClientShard(client=3, train=data)
         cfg = TrainConfig(
             learning_rate=lr,
             local_epochs=epochs,
@@ -190,7 +190,7 @@ class TestKernelBytesAtWorkloadShapes:
         shape = (classes, features)
         start = mp(rng.standard_normal(classes * features + classes) * 0.5, shape)
         data = Dataset(rng.standard_normal((n, features)) * 2.0, rng.integers(0, classes, size=n))
-        shard = ClientShard(client=1, train=data, indices=np.arange(n))
+        shard = ClientShard(client=1, train=data)
         cfg = TrainConfig(learning_rate=0.5, local_epochs=2, batch_size=batch_size, l2_reg=l2)
         expected = _train_outcome(local_train_reference, start, shard, cfg, Rng(seed, 1))
         got = _train_outcome(local_train, start, shard, cfg, Rng(seed, 1))
@@ -219,7 +219,7 @@ class TestCheckedGradientIsApplied:
         data = Dataset(
             rng.standard_normal((n, features)) * 2.0, rng.integers(0, classes, size=n)
         )
-        shard = ClientShard(client=0, train=data, indices=np.arange(n))
+        shard = ClientShard(client=0, train=data)
         cfg = TrainConfig(learning_rate=1.0, local_epochs=1, batch_size=n + batch_over, l2_reg=l2)
         upd = local_train(ModelParams.zeros(shape), shard, cfg, Rng(seed, 5))
         order = Rng(seed, 5).permutation(n)
