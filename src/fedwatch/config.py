@@ -141,6 +141,24 @@ class SimConfig(NamedTuple):
 
 _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
+ECHO_MAX = 60  # the most characters of a value that an error message repeats
+
+
+def echo(v) -> str:
+    """repr(v) as an error message repeats it, cut to ECHO_MAX characters.
+
+    An integer of more digits than that is named by its size and never
+    converted, so no echo meets Python's ``int_max_str_digits`` (at least
+    640 when set). A container holding such an integer cannot be printed.
+    """
+    if isinstance(v, int) and abs(v) >= 10**ECHO_MAX:
+        return f"an integer of more than {ECHO_MAX} digits"
+    try:
+        text = repr(v)
+    except ValueError:
+        return f"<unprintable {type(v).__name__}>"
+    return text if len(text) <= ECHO_MAX else text[: ECHO_MAX - 3] + "..."
+
 
 def typed(v, kind: type):
     """v as kind, or a ValueError in config's words. A bool is no number; an
@@ -148,7 +166,7 @@ def typed(v, kind: type):
     range."""
     accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
     if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
-        raise ValueError(f"expected {_EXPECTED[kind]}, got {v!r}")
+        raise ValueError(f"expected {_EXPECTED[kind]}, got {echo(v)}")
     try:
         return kind(v)
     except OverflowError:
@@ -164,17 +182,17 @@ def bound_problem(v, minimum=None, exclusive_min=None, maximum=None,
     that keeps them all must still be finite.
     """
     if minimum is not None and not v >= minimum:
-        return f"must be >= {minimum}, got {v}"
+        return f"must be >= {minimum}, got {echo(v)}"
     if exclusive_min is not None and not v > exclusive_min:
-        return f"must be > {exclusive_min}, got {v}"
+        return f"must be > {exclusive_min}, got {echo(v)}"
     if maximum is not None and not v <= maximum:
-        return f"must be <= {maximum}, got {v}"
+        return f"must be <= {maximum}, got {echo(v)}"
     if exclusive_max is not None and not v < exclusive_max:
-        return f"must be < {exclusive_max}, got {v}"
+        return f"must be < {exclusive_max}, got {echo(v)}"
     if choices is not None and v not in choices:
-        return f"must be one of {sorted(choices)}, got {v!r}"
+        return f"must be one of {sorted(choices)}, got {echo(v)}"
     if isinstance(v, float) and not math.isfinite(v):
-        return f"must be finite, got {v}"
+        return f"must be finite, got {echo(v)}"
     return None
 
 
@@ -222,7 +240,7 @@ class AggregatorEntry(NamedTuple):
                 return p.name, message
         for blamed, rule in self.minimums:
             if n < rule(params):
-                return blamed, f"{self.name} needs at least {rule(params)} clients, got {n}"
+                return blamed, f"{self.name} needs at least {echo(rule(params))} clients, got {n}"
         return None
 
 
@@ -315,11 +333,11 @@ def _build_malicious(raw, num_clients: int) -> AttackSpec:
         try:
             t = typed(t, int)
         except ValueError:
-            raise ConfigError("malicious.targets", f"invalid client id {t!r}") from None
+            raise ConfigError("malicious.targets", f"invalid client id {echo(t)}") from None
         if not 0 <= t < num_clients:
-            raise ConfigError("malicious.targets", f"invalid client id {t!r}")
+            raise ConfigError("malicious.targets", f"invalid client id {echo(t)}")
         if t in seen:
-            raise ConfigError("malicious.targets", f"duplicate client id {t}")
+            raise ConfigError("malicious.targets", f"duplicate client id {echo(t)}")
         seen.add(t)
     if len(seen) >= num_clients:
         raise ConfigError("malicious.targets", "every client is a target; at least one must be benign")
@@ -401,7 +419,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     d: dict = {}
     for k, v in pairs:
         if k in d:
-            raise ConfigError("", f"key {k!r} given twice in one object")
+            raise ConfigError("", f"key {echo(k)} given twice in one object")
         d[k] = v
     return d
 

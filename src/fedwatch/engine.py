@@ -33,6 +33,7 @@ from .config import (
     ConfigError,
     SimConfig,
     build_config,
+    echo,
     eval_split_size,
     set_by_path,
 )
@@ -473,15 +474,18 @@ def _check_run_dir_names(param_path: str, values, out_dir: str) -> None:
     """Each value must name a directory of its own inside the sweep's out_dir."""
     seen: set[str] = set()
     name_max = _name_max(out_dir)
-    for name in map(str, values):
+    for value in values:
+        if isinstance(value, int) and abs(value) >= 10**name_max:  # never converted: str() may refuse it
+            raise ConfigError(param_path, f"sweep value {echo(value)} is over {name_max} bytes long")
+        name = str(value)
         if name in seen:
-            raise ConfigError(param_path, f"sweep value {name!r} repeats a run directory name")
+            raise ConfigError(param_path, f"sweep value {echo(name)} repeats a run directory name")
         if name in ("", ".", "..", _SWEEP_SUMMARY) or any(
             sep in name for sep in ("/", os.sep, os.altsep, "\0") if sep
         ):
-            raise ConfigError(param_path, f"sweep value {name!r} cannot name a run directory")
+            raise ConfigError(param_path, f"sweep value {echo(name)} cannot name a run directory")
         if len(os.fsencode(name)) > name_max:
-            raise ConfigError(param_path, f"sweep value {name!r} is over {name_max} bytes long")
+            raise ConfigError(param_path, f"sweep value {echo(name)} is over {name_max} bytes long")
         seen.add(name)
 
 

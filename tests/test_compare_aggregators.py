@@ -1,0 +1,21 @@
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_one_seed_prints_seven_rule_rows_and_three_sigma_rows(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "compare_aggregators", ROOT / "scripts" / "compare_aggregators.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--seeds", "1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines[0] == ["seed", "1"]
+    rules, sigma = lines[2:9], lines[10:]
+    assert [row[0] for row in rules] == list(script.AGGREGATORS)
+    assert [row[0] for row in sigma] == ["1.0", "2.5", "5.0"]
+    # the rule table's sigma_pid is the same run as sigma_k 2.5
+    final_acc, mean_rec = rules[-1][1], rules[-1][4]
+    assert sigma[1][2:] == [mean_rec, final_acc]

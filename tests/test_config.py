@@ -445,6 +445,22 @@ def test_rounds_and_clients_are_bounded_to_a_stream_id_field(path):
     assert build_config(cfg_dict(rounds=STREAM_FIELD_LIMIT)).rounds == STREAM_FIELD_LIMIT
 
 
+@pytest.mark.parametrize("path", ["seed", "rounds"])
+def test_an_integer_past_int_max_str_digits_is_a_config_error(path):
+    # the message echoed it with str(), which refuses over 4,300 digits
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(**{path: 10**5000}))
+    assert e.value.path == path
+    assert e.value.message.endswith(", got an integer of more than 60 digits")
+
+
+def test_a_client_minimum_past_int_max_str_digits_is_a_config_error():
+    with pytest.raises(ConfigError) as e:
+        build_config(cfg_dict(aggregator={"name": "krum", "params": {"byzantine_f": 10**5000}}))
+    assert e.value.path == "aggregator.params.byzantine_f"
+    assert e.value.message == "krum needs at least an integer of more than 60 digits clients, got 20"
+
+
 def test_infinity_within_its_bounds_must_still_be_finite():
     with pytest.raises(ConfigError) as e:
         build_config(cfg_dict(train={"learning_rate": float("inf")}))

@@ -819,6 +819,14 @@ class TestSweep:
         assert exc.value.path == "description"
         assert not (tmp_path / "sweep").exists()
 
+    def test_integer_too_long_to_print_is_rejected_as_a_name(self, tmp_path):
+        # str() of it raised a bare ValueError past int_max_str_digits
+        with pytest.raises(ConfigError) as exc:
+            sweep(cfg(rounds=1), "rounds", [1, 10**5000], out_dir=str(tmp_path / "sweep"))
+        assert exc.value.path == "rounds"
+        assert exc.value.message.startswith("sweep value an integer of more than 60 digits is over")
+        assert not (tmp_path / "sweep").exists()
+
     def test_repeated_run_directory_name_is_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="repeats"):
             sweep(cfg(rounds=1), "description", ["1", "1"], out_dir=str(tmp_path / "sweep"))
