@@ -31,12 +31,13 @@ HETEROGENEITY_MODES = ("iid", "dirichlet")
 
 
 class ConfigError(ValueError):
-    """A schema violation; ``path`` is the dotted field path."""
+    """A schema violation; ``path`` is the dotted field path, cut to
+    ECHO_MAX characters as ``echo`` cuts a value."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path = _cut(path)
         self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
+        super().__init__(f"{self.path}: {message}" if path else message)
 
 
 class AttackSpec(NamedTuple):
@@ -144,6 +145,11 @@ _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a st
 ECHO_MAX = 60  # the most characters of a value that an error message repeats
 
 
+def _cut(text: str) -> str:
+    """text cut to ECHO_MAX characters, its end marked with "..."."""
+    return text if len(text) <= ECHO_MAX else text[: ECHO_MAX - 3] + "..."
+
+
 def echo(v) -> str:
     """repr(v) as an error message repeats it, cut to ECHO_MAX characters.
 
@@ -157,7 +163,7 @@ def echo(v) -> str:
         text = repr(v)
     except ValueError:
         return f"<unprintable {type(v).__name__}>"
-    return text if len(text) <= ECHO_MAX else text[: ECHO_MAX - 3] + "..."
+    return _cut(text)
 
 
 def typed(v, kind: type):
@@ -311,7 +317,8 @@ def _object(raw, path: str, names) -> dict:
         raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
     for k in raw:
         if k not in names:
-            raise ConfigError(f"{path}.{k}" if path else str(k), "unknown key")
+            key = k if isinstance(k, str) else echo(k)  # str() refuses a long integer
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
     return raw
 
 

@@ -15,14 +15,29 @@ class TrainingDivergedError(RuntimeError):
     """Local training produced non-finite parameters."""
 
 
+# The step's numpy entry points, bound once: a step is about seventeen
+# calls on a few thousand values at most, so finding ``np.<name>`` and its
+# method again on each call is a measurable share of it. A reduction takes
+# axis, dtype, out and keepdims positionally, the ufuncs their out.
+_dot = np.dot  # np.matmul's BLAS dgemm, less dispatch
+_exp = np.exp
+_log = np.log
+_add = np.add
+_subtract = np.subtract
+_multiply = np.multiply
+_divide = np.divide
+_max_reduce = np.maximum.reduce
+_sum_reduce = np.add.reduce
+
+
 def _log_softmax(g: np.ndarray) -> np.ndarray:
     """Turn the logits ``g`` into log-probabilities in place; returns g.
 
-    The ufunc reductions behind ndarray.max/sum, arguments positional.
+    The ufunc reductions behind ndarray.max/sum.
     """
-    g -= np.maximum.reduce(g, 1, None, None, True)
-    norm = np.add.reduce(np.exp(g), 1, None, None, True)
-    g -= np.log(norm, norm)
+    _subtract(g, _max_reduce(g, 1, None, None, True), g)
+    norm = _sum_reduce(_exp(g), 1, None, None, True)
+    _subtract(g, _log(norm, norm), g)
     return g
 
 
@@ -34,21 +49,23 @@ def _eye(c: int) -> np.ndarray:
     return eye
 
 
-def _gradient(x, onehot, w, b, l2, grad_w, grad_b, ridge) -> None:
-    """Write the gradient of the mean cross-entropy over the rows of ``x``
-    plus ``0.5 * l2 * |w|^2`` into ``grad_w`` and ``grad_b``.
+def _gradient(x, onehot, w, wt, b, l2, n, grad_w, grad_b, ridge) -> None:
+    """Write the gradient of the mean cross-entropy over the ``n`` rows of
+    ``x`` plus ``0.5 * l2 * |w|^2`` into ``grad_w`` and ``grad_b``.
 
-    ``ridge`` is scratch shaped like ``w``. Subtracting the one-hot row is
-    subtracting 1.0 at the label, because x - 0.0 == x.
+    ``wt`` is ``w.T``, and ``l2`` and ``n`` are numbers; ``local_train``
+    makes them once per call. ``ridge`` is scratch shaped like ``w``.
+    Subtracting the one-hot row is subtracting 1.0 at the label, because
+    x - 0.0 == x.
     """
-    g = np.dot(x, w.T)  # np.matmul's BLAS dgemm, less dispatch
-    g += b
-    np.exp(_log_softmax(g), g)
-    g -= onehot  # p - onehot(y)
-    g /= len(x)
-    np.dot(g.T, x, grad_w)
-    grad_w += np.multiply(w, l2, ridge)
-    np.add.reduce(g, 0, None, grad_b)
+    g = _dot(x, wt)
+    _add(g, b, g)
+    _exp(_log_softmax(g), g)
+    _subtract(g, onehot, g)  # p - onehot(y)
+    _divide(g, n, g)
+    _dot(g.T, x, grad_w)
+    _add(grad_w, _multiply(w, l2, ridge), grad_w)
+    _sum_reduce(g, 0, None, grad_b)
 
 
 def loss_and_gradient(
@@ -67,8 +84,8 @@ def loss_and_gradient(
     c = params.shape[0]
     grad_w, grad_b = np.empty_like(w), np.empty(c)
     _gradient(
-        data.features, _eye(c)[data.labels], w, params.biases(), l2_reg,
-        grad_w, grad_b, np.empty_like(w),
+        data.features, _eye(c)[data.labels], w, w.T, params.biases(), l2_reg,
+        data.num_samples, grad_w, grad_b, np.empty_like(w),
     )
     return loss, ModelParams(np.concatenate([grad_w.ravel(), grad_b]), params.shape)
 
@@ -95,18 +112,26 @@ def local_train(
     grad = np.empty_like(theta)
     w, b = theta[:cf].reshape(c, f), theta[cf:]
     grad_w, grad_b = grad[:cf].reshape(c, f), grad[cf:]
-    ridge = np.empty_like(w)
-    lr = cfg.learning_rate
-    l2 = cfg.l2_reg
+    wt, ridge = w.T, np.empty_like(w)
+    # The step's scalars (learning rate, L2 weight, the full and the final
+    # batch's row counts) as 0-d float64 arrays, made once: the doubles a
+    # Python number gives, which a ufunc takes without converting a scalar.
+    lr, l2 = np.array(cfg.learning_rate, float), np.array(cfg.l2_reg, float)
     bs = max(1, int(cfg.batch_size))
+    last = (n - 1) // bs * bs  # the final batch's first row
+    full, tail = np.array(bs, float), np.array(n - last, float)
+    batches = [(lo, full) for lo in range(0, last, bs)] + [(last, tail)]
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         xs = data.features.take(order, axis=0)
         onehots = _eye(c).take(data.labels.take(order), axis=0)
-        for lo in range(0, n, bs):
-            _gradient(xs[lo : lo + bs], onehots[lo : lo + bs], w, b, l2, grad_w, grad_b, ridge)
-            grad *= lr
-            theta -= grad
+        for lo, size in batches:
+            _gradient(
+                xs[lo : lo + bs], onehots[lo : lo + bs], w, wt, b, l2, size,
+                grad_w, grad_b, ridge,
+            )
+            _multiply(grad, lr, grad)
+            _subtract(theta, grad, theta)
     # A fresh array rather than theta reused in place: reuse raised the
     # peak RSS of a 200-client run by about 0.5 MB.
     diff = theta - start.values

@@ -461,6 +461,15 @@ def test_a_client_minimum_past_int_max_str_digits_is_a_config_error():
     assert e.value.message == "krum needs at least an integer of more than 60 digits clients, got 20"
 
 
+@pytest.mark.parametrize("raw", [{10**5000: 1}, {"dataset": {10**5000: 1}}], ids=["top", "nested"])
+def test_an_unknown_key_past_int_max_str_digits_is_a_config_error(raw):
+    # str() of the key raised a bare ValueError
+    with pytest.raises(ConfigError) as e:
+        build_config(raw)
+    assert e.value.path.endswith("an integer of more than 60 digits")
+    assert e.value.message == "unknown key"
+
+
 def test_infinity_within_its_bounds_must_still_be_finite():
     with pytest.raises(ConfigError) as e:
         build_config(cfg_dict(train={"learning_rate": float("inf")}))

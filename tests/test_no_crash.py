@@ -274,6 +274,60 @@ def test_a_long_value_is_echoed_in_a_short_error_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("raw, start", [
+    # the key was echoed whole: 100,021 and 5,029 bytes
+    ({**HUGE_NOISE, "k" * 100_000: 1}, "error: kkk"),
+    ({**HUGE_NOISE, "dataset": {**HUGE_NOISE["dataset"], "k" * 5_000: 1}}, "error: dataset.kkk"),
+], ids=["top-level", "nested"])
+def test_a_long_unknown_key_is_cut_in_the_error_line(tmp_path, raw, start):
+    code, err = cli_run(tmp_path, raw)
+    assert code == 2
+    assert err.startswith(start) and err.endswith("...: unknown key\n")
+    assert len(err.encode()) <= 200 and err.count("\n") == 1
+
+
+def cli_argv(argv) -> tuple[int, str]:
+    """The exit code and stderr of the CLI on argv, a usage error's too."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, err.getvalue()
+
+
+DEFAULT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "default.json"))
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    # each was echoed whole; --param, --seed and --config gave 50,030,
+    # 50,046 and 100,061 bytes
+    (["sweep", "--config", DEFAULT, "--param", "p" * 50_000, "--values", "1", "--out", "out"],
+     2, "error: ppp"),
+    (["run", "--config", DEFAULT, "--out", "out", "--seed", "z" * 50_000],
+     2, "error: argument --seed: invalid int value: 'zzz"),
+    (["run", "--config", "c" * 100_000, "--out", "out"], 4, "error: cannot read config: [Errno"),
+    (["sweep", "--config", "c" * 100_000, "--param", "rounds", "--values", "1", "--out", "out"],
+     4, "error: cannot read config: [Errno"),
+    (["run", "--config", DEFAULT, "--out", "o" * 100_000], 4, "error: cannot write outputs: [Errno"),
+], ids=["sweep-param", "run-seed", "run-config-path", "sweep-config-path", "run-out-path"])
+def test_a_long_argument_is_cut_in_the_error_line(tmp_path, monkeypatch, argv, code, start):
+    monkeypatch.chdir(tmp_path)
+    got, err = cli_argv(argv)
+    assert got == code
+    assert err.startswith(start)
+    assert len(err.encode()) <= 200 and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_io_error_keeps_oserrors_words(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_argv(["run", "--config", "nope.json", "--out", "out"]) == (
+        4, "error: cannot read config: [Errno 2] No such file or directory: 'nope.json'\n"
+    )
+
+
 @pytest.mark.parametrize("key, value", OVERSIZED, ids=lambda v: "10**400" if v == 10**400 else None)
 def test_a_dataset_no_array_can_hold_exits_2(tmp_path, key, value):
     # Refused while the config is built, before any array is asked for.

@@ -178,12 +178,13 @@ class TestLocalTrainMatchesReference:
 class TestKernelBytesAtWorkloadShapes:
     """The reference loop's bits at the feature and class counts the
     workloads and the scale curve use, where BLAS may run other kernels
-    than at the small random shapes above; each epoch ends on a 1-row batch."""
+    than at the small random shapes above. Each epoch ends on a 1-row
+    batch, or, at (160, 32), sigma_noise_iid's shard, on a full one."""
 
     @pytest.mark.parametrize("l2", [0.0, 1e-4])
     @pytest.mark.parametrize("classes", [4, 10, 40])
-    @pytest.mark.parametrize("features", [32, 64, 330])
-    @pytest.mark.parametrize("n, batch_size", [(33, 16), (65, 32), (17, 1)])
+    @pytest.mark.parametrize("features", [2, 32, 64, 330])
+    @pytest.mark.parametrize("n, batch_size", [(33, 16), (65, 32), (17, 1), (160, 32)])
     def test_bit_identical(self, features, classes, l2, n, batch_size):
         seed = features * 1000 + classes
         rng = Rng(seed)
