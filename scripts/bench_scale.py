@@ -28,7 +28,7 @@ seconds on the updates of real rounds beside the cost model:
 ``ns_per_overhead_op`` is aggregate seconds x 10^9 / ``overhead_ops``. The
 rows and the benchmark's environment record go to ``BENCH_scale.json`` at
 the repository root. ``--n`` and ``--aggregators`` keep only the matching
-cells.
+cells; a selection that keeps none exits 2 and writes nothing.
 
 Usage: PYTHONPATH=src python scripts/bench_scale.py [--n 20,200,1000,2000,5000]
                                                 [--aggregators krum,bulyan]
@@ -150,10 +150,16 @@ def cells(sizes, names) -> list[tuple[int, int, int, str]]:
             for name in table_names if (sizes is None or n in sizes) and (names is None or name in names)]
 
 
+def int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; a ValueError is argparse's usage error."""
+    return [int(v) for v in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--n", help="client counts to keep, comma-separated (default: all)")
-    parser.add_argument("--aggregators", help="aggregators to keep, comma-separated (default: all)")
+    parser.add_argument("--n", type=int_list, help="client counts to keep, comma-separated (default: all)")
+    parser.add_argument("--aggregators", type=lambda text: text.split(","),
+                        help="aggregators to keep, comma-separated (default: all)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     # "n,features,rounds,aggregator,phase,...": run one cell, print its JSON
     parser.add_argument("--cell", help=argparse.SUPPRESS)
@@ -167,14 +173,15 @@ def main(argv=None) -> int:
             print(peak)
         print(json.dumps(seconds))
         return 0
-    sizes = None if args.n is None else [int(v) for v in args.n.split(",")]
-    names = None if args.aggregators is None else args.aggregators.split(",")
+    kept = cells(args.n, args.aggregators)
+    if not kept:  # an empty record would replace the one at --out
+        parser.error("no cell of the table has the --n and --aggregators asked for")
 
     rows = []
     print(f"{'aggregator':<12} {'n':>5} {'d':>6} {'rounds':>6} {'run_s':>8} {'generate':>9} {'partition':>9} "
           f"{'train':>8} {'aggregate':>9} {'other':>8} {'rss_mb':>8} {'ns/op':>8}")
     with tempfile.TemporaryDirectory() as log_dir:
-        for n, features, rounds, aggregator in cells(sizes, names):
+        for n, features, rounds, aggregator in kept:
             row = {"n": n, "d": CLASSES * (features + 1), "rounds": rounds, "aggregator": aggregator}
             row.update(measure(n, features, rounds, aggregator, log_dir))
             rows.append(row)

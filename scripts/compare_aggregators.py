@@ -33,10 +33,15 @@ def outcome(base: dict, seed: int, name: str, params: dict) -> tuple[dict, int]:
     return summarize(config, result, 0.0), sum(m.fp for m in result.metrics)
 
 
+def int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; a ValueError is argparse's usage error."""
+    return [int(v) for v in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Compare the aggregators on configs/default.json.")
-    parser.add_argument("--seeds", default="1", help="comma-separated seeds (default 1)")
-    seeds = [int(s) for s in parser.parse_args(argv).seeds.split(",")]
+    parser.add_argument("--seeds", type=int_list, default="1", help="comma-separated seeds (default 1)")
+    seeds = parser.parse_args(argv).seeds
     base = json.loads(DEFAULT.read_text())
     for seed in seeds:
         print(f"seed {seed}")

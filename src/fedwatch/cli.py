@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime/numeric
 failure or out of memory, 4 I/O failure. Any failure prints one
-machine-parsable line to stderr prefixed ``error:``.
+machine-parsable line to stderr prefixed ``error:``, of at most
+``LINE_BYTES`` bytes with its newline.
 """
 
 from __future__ import annotations
@@ -12,33 +13,36 @@ import re
 import sys
 import time
 
-from .config import AGGREGATORS, ConfigError, build_config, echo, load_config
+from .config import AGGREGATORS, ConfigError, build_config, load_config
 from .engine import EngineError, run, sweep, write_run_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
+LINE_BYTES = 200
 
 
 def _fail(code: int, message: str) -> int:
-    print(f"error: {message}".replace("\n", " "), file=sys.stderr)
+    """Print ``error: message`` to stderr as one line: the message's line
+    breaks of every kind become spaces, and a line that would take more than
+    LINE_BYTES bytes with its newline, as stderr encodes it, is cut after a
+    whole character and ends in ``...``."""
+    line = " ".join(f"error: {message}".splitlines())
+    if len(line.encode("utf-8", "backslashreplace")) >= LINE_BYTES:
+        kept = line[:LINE_BYTES - 4]
+        while len(kept.encode("utf-8", "backslashreplace")) > LINE_BYTES - 4:
+            kept = kept[:-1]
+        line = kept + "..."
+    print(line, file=sys.stderr)
     return code
-
-
-def _io_fail(what: str, e: OSError) -> int:
-    """An I/O failure's ``error:`` line, in OSError's own words but with the
-    path it names cut by ``echo``."""
-    if e.filename is not None:
-        return _fail(EXIT_IO, f"{what}: [Errno {e.errno}] {e.strerror}: {echo(e.filename)}")
-    return _fail(EXIT_IO, f"{what}: {e}")
 
 
 def cmd_run(args) -> int:
     try:
         config = load_config(args.config)
     except OSError as e:
-        return _io_fail("cannot read config", e)
+        return _fail(EXIT_IO, f"cannot read config: {e}")
     if args.seed is not None:
         config = build_config({**config.to_dict(), "seed": args.seed})
     start = time.monotonic()
@@ -47,7 +51,7 @@ def cmd_run(args) -> int:
     try:
         write_run_outputs(args.out, config, result, elapsed)
     except OSError as e:
-        return _io_fail("cannot write outputs", e)
+        return _fail(EXIT_IO, f"cannot write outputs: {e}")
     return EXIT_OK
 
 
@@ -71,7 +75,7 @@ def cmd_sweep(args) -> int:
     try:
         config = load_config(args.config)
     except OSError as e:
-        return _io_fail("cannot read config", e)
+        return _fail(EXIT_IO, f"cannot read config: {e}")
     try:
         values = [_parse_sweep_value(v) for v in args.values.split(",") if v != ""]
     except ValueError as e:
@@ -79,17 +83,8 @@ def cmd_sweep(args) -> int:
     try:
         sweep(config, args.param, values, out_dir=args.out)
     except OSError as e:
-        return _io_fail("cannot write outputs", e)
+        return _fail(EXIT_IO, f"cannot write outputs: {e}")
     return EXIT_OK
-
-
-def _int(text: str) -> int:
-    """An integer option's value; a bad one is named as argparse names it,
-    cut by ``echo``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}") from None
 
 
 def cmd_list_aggregators(_args) -> int:
@@ -117,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
     p_run.add_argument("--config", required=True, help="path to the JSON config")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=_int, default=None, help="override the config seed")
+    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="re-run a config over values of one field")

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench_scale.py"
 
@@ -56,6 +58,25 @@ def test_n_and_aggregators_keep_only_matching_cells(tmp_path, monkeypatch):
         (200, 1024, 2, "krum"), (200, 1024, 2, "bulyan"),
         (200, 4096, 2, "krum"), (200, 4096, 2, "bulyan"),
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--aggregators", "typo"], "no cell of the table has the --n and --aggregators asked for"),
+    (["--n", "7"], "no cell of the table has the --n and --aggregators asked for"),
+    (["--n", "x"], "argument --n: invalid int_list value: 'x'"),
+    (["--n", "200,,1000"], "argument --n: invalid int_list value: '200,,1000'"),
+], ids=["unknown-aggregator", "unknown-n", "bad-n", "empty-item"])
+def test_a_bad_selection_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    # the first two wrote a record of 0 rows over --out, the others ended in a traceback
+    script = load(SCRIPT, "bench_scale")
+    monkeypatch.setattr(script, "measure", None)  # no cell may run
+    out = tmp_path / "BENCH_scale.json"
+    with pytest.raises(SystemExit) as e:
+        script.main(argv + ["--out", str(out)])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+    assert not out.exists()
 
 
 def test_scale_config_is_valid_in_every_cell():

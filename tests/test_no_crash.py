@@ -311,7 +311,11 @@ DEFAULT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "co
     (["sweep", "--config", "c" * 100_000, "--param", "rounds", "--values", "1", "--out", "out"],
      4, "error: cannot read config: [Errno"),
     (["run", "--config", DEFAULT, "--out", "o" * 100_000], 4, "error: cannot write outputs: [Errno"),
-], ids=["sweep-param", "run-seed", "run-config-path", "sweep-config-path", "run-out-path"])
+    # argparse words these, and they were echoed whole: 50,093 and 50,032 bytes
+    (["x" * 50_000], 2, "error: argument command: invalid choice:"),
+    (["run", "--config", DEFAULT, "--out", "out", "y" * 50_000], 2, "error: unrecognized arguments:"),
+], ids=["sweep-param", "run-seed", "run-config-path", "sweep-config-path", "run-out-path",
+        "command", "stray-argument"])
 def test_a_long_argument_is_cut_in_the_error_line(tmp_path, monkeypatch, argv, code, start):
     monkeypatch.chdir(tmp_path)
     got, err = cli_argv(argv)
@@ -326,6 +330,100 @@ def test_an_io_error_keeps_oserrors_words(tmp_path, monkeypatch):
     assert cli_argv(["run", "--config", "nope.json", "--out", "out"]) == (
         4, "error: cannot read config: [Errno 2] No such file or directory: 'nope.json'\n"
     )
+
+
+def test_a_long_csv_path_is_cut_in_the_error_line(tmp_path):
+    # OSError's words named the path whole: 100,064 bytes
+    dataset = {"type": "csv", "csv_path": str(tmp_path / ("c" * 100_000)), "classes": 2}
+    code, err = cli_run(tmp_path, {**HUGE_NOISE, "dataset": dataset})
+    assert code == 2
+    assert err.startswith("error: dataset.csv_path: [Errno")
+    assert len(err.encode()) <= 200 and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def cli_bytes(argv) -> tuple[int, bytes]:
+    """``cli_argv``, with stderr as the bytes that Python's stderr writes:
+    UTF-8, and a lone surrogate as its backslash escape."""
+    buffer = io.BytesIO()
+    err = io.TextIOWrapper(buffer, encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    err.flush()
+    return code, buffer.getvalue()
+
+
+def assert_one_short_line(data: bytes) -> None:
+    """data is one UTF-8 ``error:`` line of at most 200 bytes with its
+    newline, and no other line break of any kind."""
+    line = data.decode("utf-8")
+    assert line.startswith("error:") and line.endswith("\n")
+    assert len(data) <= 200 and len(line.splitlines()) == 1
+
+
+# top-level fields: a sweep over a path under one of them may be valid and run
+FIELDS = set(build_config(HUGE_NOISE).to_dict())
+
+
+def argv_naming(tmp: str, where: str, text: str) -> list[str]:
+    """The argv of a run whose config holds the key text, of a value no
+    field takes, or of a sweep over the field path text."""
+    out = os.path.join(tmp, "out")
+    if where == "param":
+        return ["sweep", "--config", DEFAULT, f"--param={text}", "--values", "1", "--out", out]
+    path = os.path.join(tmp, "config.json")
+    with open(path, "w") as fh:
+        json.dump({**HUGE_NOISE, text: [[]]}, fh)
+    return ["run", "--config", path, "--out", out]
+
+
+LINE_BREAKS = ["\r", "\x0b", "\x85", "\u2028"]
+
+
+# Each was printed as is: a line that str.splitlines() reads as two.
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=["cr", "vt", "nel", "u2028"])
+@pytest.mark.parametrize("where", ["key", "param"])
+def test_a_line_break_in_a_key_or_param_stays_in_one_line(tmp_path, where, brk):
+    code, data = cli_bytes(argv_naming(str(tmp_path), where, f"a{brk}b"))
+    assert code == 2
+    assert_one_short_line(data)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_multibyte_value_is_cut_in_bytes_on_a_character_boundary(tmp_path):
+    # 60 characters of the value as echoed took 214 bytes
+    (tmp_path / "config.json").write_text(json.dumps({**HUGE_NOISE, "description": ["€" * 100]}))
+    code, data = cli_bytes(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert data.decode("utf-8").startswith("error: description: expected a string, got ['€€€")
+    assert_one_short_line(data)
+
+
+def test_a_lone_surrogate_key_is_written_escaped(tmp_path):
+    # JSON's "\udcff" reads as a lone surrogate, which UTF-8 cannot encode
+    (tmp_path / "config.json").write_text('{"\\udcff": 1}')
+    argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert cli_bytes(argv) == (2, b"error: \\udcff: unknown key\n")
+
+
+@warnings_fail
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["key", "param"]),
+    st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(LINE_BREAKS + ["€", "\udcff"])),
+            max_size=300).filter(lambda text: text.split(".")[0] not in FIELDS),
+)
+@example("key", "\udcff" * 100)  # 366 bytes, cut to 60 characters by the key's path alone
+@example("param", "\n" + "€" * 100)
+def test_any_text_in_a_key_or_param_gives_one_short_line(where, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, data = cli_bytes(argv_naming(tmp, where, text))
+        assert code == 2
+        assert_one_short_line(data)
+        assert not os.path.exists(os.path.join(tmp, "out"))
 
 
 @pytest.mark.parametrize("key, value", OVERSIZED, ids=lambda v: "10**400" if v == 10**400 else None)
