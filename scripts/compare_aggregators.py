@@ -10,7 +10,7 @@ import json
 import pathlib
 import sys
 
-from fedwatch import build_config, run
+from fedwatch import ConfigError, build_config, run
 from fedwatch.engine import summarize
 
 AGGREGATORS = {
@@ -43,6 +43,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int_list, default="1", help="comma-separated seeds (default 1)")
     seeds = parser.parse_args(argv).seeds
     base = json.loads(DEFAULT.read_text())
+    try:  # every seed is checked before the first table prints
+        for seed in seeds:
+            build_config({**base, "seed": seed})
+    except ConfigError as e:
+        parser.error(f"argument --seeds: {e}")
     for seed in seeds:
         print(f"seed {seed}")
         print(f"{'aggregator':<14} {'final_acc':>9} {'final_loss':>10} {'mean_prec':>9} "

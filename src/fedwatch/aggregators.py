@@ -8,8 +8,6 @@ sort passes) under the fixed formulas documented on each function, giving
 a deterministic cost ledger that is comparable across strategies.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 from functools import cached_property

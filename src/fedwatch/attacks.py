@@ -1,7 +1,5 @@
 """Data poisoning (label flipping) and model poisoning on client updates."""
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

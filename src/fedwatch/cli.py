@@ -6,8 +6,6 @@ machine-parsable line to stderr prefixed ``error:``, of at most
 ``LINE_BYTES`` bytes with its newline.
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys

@@ -9,8 +9,6 @@ imports no other fedwatch module and no numpy, so loading a config imports
 no simulation layer; the layers import what they need from here.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import numbers

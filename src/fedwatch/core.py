@@ -7,8 +7,6 @@ Generators seeded from one master seed by a fixed 64-bit hash, which makes
 results independent of scheduling order.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from dataclasses import dataclass
 

@@ -1,7 +1,5 @@
 """Synthetic Gaussian-cluster datasets, CSV loading, and client partitioning."""
 
-from __future__ import annotations
-
 import array
 import csv
 import math

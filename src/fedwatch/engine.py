@@ -12,8 +12,6 @@ poisons its own update. Only a diverged or non-finite update is left out;
 every finite one, however large, reaches the monitor and the aggregator.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import os
@@ -21,7 +19,6 @@ import time
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
-from typing import get_type_hints
 
 import numpy as np
 
@@ -286,10 +283,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
     poison_streams = StreamGrid(config.seed, STREAM_POISON, config.rounds, config.malicious.targets)
 
     for t in range(config.rounds):
-        if config.reputation.enabled:
-            participants = select_participants(reputation, all_clients, config.reputation, needed)
-        else:
-            participants = all_clients
+        participants = select_participants(reputation, all_clients, config.reputation, needed)
         participant_set = set(participants)
         non_participants = tuple(c for c in all_clients if c not in participant_set)
 
@@ -318,8 +312,7 @@ def _play(config: SimConfig, eval_data: Dataset, shards: list[ClientShard],
         excluded = tuple(sorted(participant_set.difference(decision.included)))
         decision = replace(decision, excluded=excluded)
 
-        if config.reputation.enabled:
-            reputation = update_reputation(reputation, decision, config.reputation)
+        reputation = update_reputation(reputation, decision, config.reputation)
 
         loss, accuracy = evaluate(params, eval_data)
         cost = float(
@@ -376,9 +369,8 @@ def _ids(ids: tuple[ClientId, ...]) -> str:
 def _columns(row_type) -> tuple[tuple[str, Callable], ...]:
     """(name, cell formatter) per field of a row dataclass, by declared type:
     reals as _fmt, id tuples joined by ';', anything else as str."""
-    hints = get_type_hints(row_type)
     cell = {float: _fmt, tuple[ClientId, ...]: _ids}
-    return tuple((f.name, cell.get(hints[f.name], str)) for f in fields(row_type))
+    return tuple((f.name, cell.get(f.type, str)) for f in fields(row_type))
 
 
 def _to_csv(columns, rows) -> str:

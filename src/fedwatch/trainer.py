@@ -1,7 +1,5 @@
 """Softmax regression trained by mini-batch SGD. The object-level learner."""
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 import numpy as np

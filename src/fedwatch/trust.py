@@ -7,8 +7,6 @@ round's loss, the training cost spent, and the aggregator overhead
 (loss + alpha * cost + beta * overhead).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 from .aggregators import AggregationDecision, stack_updates
@@ -52,7 +50,7 @@ def update_reputation(
 
     reputation <- lambda * reputation + (1 - lambda) * (1 if included else 0),
     lambda being ``settings.decay_lambda``; clients that did not submit this
-    round are untouched.
+    round are untouched, and so is everyone when ``settings.enabled`` is off.
     """
     lam = settings.decay_lambda
     rep = dict(reputation)
@@ -60,7 +58,8 @@ def update_reputation(
         for cid in ids:
             if cid not in rep:
                 raise ValueError(f"unknown client id {cid}")
-            rep[cid] = lam * rep[cid] + (1.0 - lam) * bit
+            if settings.enabled:
+                rep[cid] = lam * rep[cid] + (1.0 - lam) * bit
     return rep
 
 
@@ -68,7 +67,7 @@ def select_participants(
     reputation: dict[ClientId, float], all_clients, settings: ReputationConfig, minimum: int = 1
 ) -> tuple[ClientId, ...]:
     """Clients whose reputation clears ``settings.participation_threshold``,
-    ascending by id.
+    ascending by id; every client when ``settings.enabled`` is off.
 
     If fewer than max(3, ``minimum``) qualify, that many highest-reputation
     clients (ties to the lower id), or all when there are fewer, are returned
@@ -76,6 +75,8 @@ def select_participants(
     """
     floor = max(3, minimum)
     ids = sorted(int(c) for c in all_clients)
+    if not settings.enabled:
+        return tuple(ids)
     qualified = [c for c in ids if reputation[c] >= settings.participation_threshold]
     if len(qualified) >= floor:
         return tuple(qualified)

@@ -37,3 +37,20 @@ def test_a_malformed_seed_list_is_a_usage_error(capsys, seeds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument --seeds: invalid int_list value: {seeds!r}" in captured.err
+
+
+@pytest.mark.parametrize("seeds", ["-1", "18446744073709551616", "1,-1"])
+def test_an_out_of_range_seed_is_a_usage_error_before_any_run(capsys, seeds):
+    # each printed its first table, or ran seed 1 in full, then ended in a ConfigError traceback
+    spec = importlib.util.spec_from_file_location(
+        "compare_aggregators", ROOT / "scripts" / "compare_aggregators.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as e:
+        script.main(["--seeds", seeds])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --seeds: seed: must be " in captured.err
+    assert captured.err.endswith(f", got {seeds.split(',')[-1]}\n")

@@ -661,14 +661,17 @@ class TestRoundsIterator:
         assert result.final_params.values.tobytes() == records[-1].params.values.tobytes()
 
     def test_each_rounds_reputation_follows_from_the_previous_record(self):
-        conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]},
-                   aggregator={"name": "sigma_pid", "params": {}})
-        before = dict.fromkeys(range(conf.num_clients), 1.0)
-        records = list(rounds(conf))
-        assert any(r.decision.excluded for r in records)
-        for r in records:
-            assert r.reputation == update_reputation(before, r.decision, conf.reputation)
-            before = r.reputation
+        for enabled in (True, False):  # off, the map stays at 1.0
+            conf = cfg(malicious={"kind": "label_flip", "fraction": 1.0, "targets": [0, 1]},
+                       aggregator={"name": "sigma_pid", "params": {}},
+                       reputation={"enabled": enabled})
+            before = dict.fromkeys(range(conf.num_clients), 1.0)
+            records = list(rounds(conf))
+            assert any(r.decision.excluded for r in records)
+            for r in records:
+                assert r.reputation == update_reputation(before, r.decision, conf.reputation)
+                before = r.reputation
+            assert (set(before.values()) == {1.0}) is not enabled
 
     def test_a_records_params_and_reputation_are_read_only(self):
         # the next round broadcasts the one and gates on the other

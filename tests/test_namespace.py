@@ -116,6 +116,25 @@ class TestImports:
         )
         assert run_python(code) == [{"trainer": True, "engine": True, "cli": True}]
 
+    def test_every_field_annotation_is_an_object_not_a_string(self):
+        # no module defers its annotations, so nothing evaluates them again
+        from dataclasses import fields
+
+        from fedwatch import aggregators, config, core, datagen, engine, trust
+
+        sections = (config.SimConfig, config.AttackSpec, config.DatasetConfig,
+                    config.HeterogeneitySpec, config.TrainConfig, config.AggregatorSpec,
+                    config.ReputationConfig, config.ResourceConfig, config.Param,
+                    config.AggregatorEntry)
+        records = (aggregators.AggregationDecision, aggregators.PidState, aggregators.UpdateStack,
+                   core.ModelParams, core.ClientUpdate, datagen.Dataset, datagen.ClientShard,
+                   engine.RoundMetrics, engine.RunResult, engine.RoundRecord, engine.SweepRow,
+                   trust.TrustIndicators)
+        types = [(s.__name__, name, t) for s in sections for name, t in s.__annotations__.items()]
+        types += [(r.__name__, f.name, f.type) for r in records for f in fields(r)]
+        assert len(types) > 60
+        assert [entry for entry in types if isinstance(entry[2], str)] == []
+
 
 class TestPublicNames:
     @pytest.mark.parametrize("name", sorted(PUBLIC))

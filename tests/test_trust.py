@@ -110,6 +110,14 @@ class TestUpdateReputation:
             rep = update_reputation(rep, d, decaying(lam))
             assert 0.0 <= rep[0] <= 1.0
 
+    def test_reputation_off_returns_an_equal_new_map(self):
+        rep = {0: 0.5, 1: 1.0}
+        off = ReputationConfig(enabled=False)
+        got = update_reputation(rep, decision(included=[0], excluded=[1]), off)
+        assert got == {0: 0.5, 1: 1.0} and got is not rep
+        with pytest.raises(ValueError, match="unknown client id 7"):
+            update_reputation(rep, decision(included=[7], excluded=[]), off)
+
     def test_geometric_decay_when_always_excluded(self):
         rep = fresh([0])
         values = []
@@ -138,6 +146,11 @@ class TestSelectParticipants:
         rep = {0: 0.1, 1: 0.5, 2: 0.3, 3: 0.5, 4: 0.2, 5: 0.95}
         assert select_participants(rep, range(6), gate(0.9), minimum=5) == (1, 2, 3, 4, 5)
         assert select_participants(rep, range(6), gate(0.9), minimum=9) == tuple(range(6))
+
+    def test_reputation_off_admits_everyone_ascending(self):
+        off = ReputationConfig(enabled=False, participation_threshold=0.9)
+        assert select_participants(dict.fromkeys(range(5), 0.0), reversed(range(5)), off) == (
+            0, 1, 2, 3, 4)
 
     @settings(max_examples=300, derandomize=True)
     @given(
